@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks of the simulator substrate itself: the
-//! coalescer, the sectored cache, warp shuffles and the launch machinery —
-//! the per-event costs everything else multiplies out of.
+//! coalescer, shared-memory bank passes, lane FMA, the sectored cache, warp
+//! shuffles and the launch machinery — the per-event costs everything else
+//! multiplies out of.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use memconv::gpusim::lane::{LaneMask, LaneVec, WARP};
+use memconv::gpusim::lane::{LaneMask, LaneVec, VF, VU, WARP};
 use memconv::gpusim::memory::cache::{CachePolicy, SectoredCache};
-use memconv::gpusim::memory::coalescer::coalesce;
+use memconv::gpusim::memory::coalescer::{coalesce, coalesce_into, MAX_SECTORS};
+use memconv::gpusim::memory::SharedMem;
 use memconv::gpusim::shuffle;
 use memconv::prelude::*;
 
@@ -17,6 +19,46 @@ fn bench_coalescer(c: &mut Criterion) {
     });
     c.bench_function("coalesce_scattered", |b| {
         b.iter(|| std::hint::black_box(coalesce(&scattered, LaneMask::ALL, 4, 32).transactions()))
+    });
+    c.bench_function("coalesce_into_scattered", |b| {
+        let mut out = [0u64; MAX_SECTORS];
+        b.iter(|| {
+            let addrs = std::hint::black_box(&scattered);
+            std::hint::black_box(coalesce_into(addrs, LaneMask::ALL, 4, 32, &mut out))
+        })
+    });
+}
+
+fn bench_shared(c: &mut Criterion) {
+    let smem = SharedMem::new(2048, 32);
+    let cases: [(&str, VU); 3] = [
+        ("smem_passes_conflict_free", VU::lane_id()),
+        ("smem_passes_broadcast", VU::splat(5)),
+        ("smem_passes_32way", VU::from_fn(|l| l as u32 * 32)),
+    ];
+    for (name, idx) in cases {
+        c.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(smem.passes(std::hint::black_box(&idx), LaneMask::ALL)))
+        });
+    }
+    let idx = VU::from_fn(|l| l as u32 * 4);
+    c.bench_function("smem_load_vec4", |b| {
+        b.iter(|| {
+            let (v, passes) = smem.load_vec::<4>(std::hint::black_box(&idx), LaneMask::ALL);
+            std::hint::black_box((v[3].lane(31), passes))
+        })
+    });
+}
+
+fn bench_fma(c: &mut Criterion) {
+    let a = VF::from_fn(|l| l as f32 * 0.5);
+    let x = VF::from_fn(|l| 1.0 - l as f32 * 0.25);
+    let y = VF::splat(3.0);
+    c.bench_function("fma_lanes", |b| {
+        b.iter(|| {
+            let r = std::hint::black_box(a).mul_add(std::hint::black_box(x), y);
+            std::hint::black_box(r.lane(7))
+        })
     });
 }
 
@@ -56,7 +98,7 @@ fn bench_launch(c: &mut Criterion) {
                     let tid = w.global_tid_x();
                     let mask = tid.lt_scalar(65536);
                     let v = w.gld(x, &tid, mask);
-                    let r = w.fma(v, memconv::gpusim::VF::splat(2.0), v);
+                    let r = w.fma(v, VF::splat(2.0), v);
                     w.gst(y, &tid, &r, mask);
                 });
             });
@@ -68,6 +110,8 @@ fn bench_launch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_coalescer,
+    bench_shared,
+    bench_fma,
     bench_cache,
     bench_shuffle,
     bench_launch

@@ -34,7 +34,7 @@ use crate::analysis::{
 };
 use crate::device::DeviceConfig;
 use crate::faults::{self, BlockFaults, FaultLog, FaultPlan};
-use crate::lane::{LaneMask, LaneVec, VF, VU, WARP};
+use crate::lane::{LaneMask, VF, VU, WARP};
 use crate::memory::hierarchy::{
     flush_l2, new_l1, new_l2, phantom_access, replay_trace, warp_access, L2Sink, Space,
 };
@@ -84,8 +84,34 @@ impl SampleMode {
         SampleMode::Chunked { chunk, skip }
     }
 
+    /// The linear indices of the blocks simulated under this (already
+    /// resolved) mode out of a `total`-block grid, ascending. Walks the
+    /// selected runs directly, so a sparse sample of a huge grid costs
+    /// only its selected blocks.
+    fn blocks(&self, total: u64) -> impl Iterator<Item = u64> {
+        // (run length, distance between run starts) in blocks.
+        let (run, period) = match *self {
+            SampleMode::Full => (total.max(1), total.max(1)),
+            SampleMode::Stride(k) => {
+                assert!(k >= 1, "sample stride must be >= 1");
+                (1, k as u64)
+            }
+            SampleMode::Chunked { chunk, skip } => {
+                assert!(chunk >= 1 && skip >= 1, "bad chunk sampling");
+                (chunk as u64, chunk as u64 * skip as u64)
+            }
+            SampleMode::Auto(_) => unreachable!("Auto is resolved at launch"),
+        };
+        // A period beyond `usize` can only ever reach the first run.
+        let step = usize::try_from(period).unwrap_or(usize::MAX);
+        (0..total)
+            .step_by(step)
+            .flat_map(move |start| start..(start + run).min(total))
+    }
+
     /// Whether block `linear` is simulated under this (already resolved)
-    /// mode.
+    /// mode: the per-index definition [`SampleMode::blocks`] must match.
+    #[cfg(test)]
     fn selects(&self, linear: u64) -> bool {
         match *self {
             SampleMode::Full => true,
@@ -475,7 +501,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     pub fn fma(&mut self, a: VF, b: VF, c: VF) -> VF {
         self.res.tick(1);
         self.res.stats.fma_instrs += 1;
-        LaneVec::from_fn(|l| a.lane(l).mul_add(b.lane(l), c.lane(l)))
+        a.mul_add(b, c)
     }
 
     /// Counted floating add.
@@ -1525,7 +1551,7 @@ impl GpuSim {
         let mut stats = KernelStats::default();
         let mut l2 = new_l2(&self.device);
         let mut simulated = 0u64;
-        for linear in (0..cfg.num_blocks()).filter(|&l| resolved.selects(l)) {
+        for linear in resolved.blocks(cfg.num_blocks()) {
             simulated += 1;
             let snapshot = scratch.as_ref().map(|_| stats.clone());
             let mut collector = env.analyze.then(|| BlockCollector::new(linear));
@@ -1610,7 +1636,7 @@ impl GpuSim {
         let hint_words = self.mem.total_elems() / cfg.num_blocks().max(1) as usize;
         let mut pool = std::mem::take(&mut self.scratch_pool);
 
-        let mut selected = (0..cfg.num_blocks()).filter(|&l| resolved.selects(l));
+        let mut selected = resolved.blocks(cfg.num_blocks());
         loop {
             let batch: Vec<u64> = selected.by_ref().take(batch_cap).collect();
             if batch.is_empty() {
@@ -1861,6 +1887,32 @@ mod tests {
 #[cfg(test)]
 mod sample_tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-walking iterator yields exactly the per-index filter's
+        /// blocks, in the same order.
+        #[test]
+        fn sampled_blocks_match_the_per_index_filter(
+            total in 0u64..5000,
+            kind in 0u32..4,
+            a in 1u32..100,
+            b in 1u32..12,
+            target in 1u64..400,
+        ) {
+            let mode = match kind {
+                0 => SampleMode::Full,
+                1 => SampleMode::Stride(a),
+                2 => SampleMode::Chunked { chunk: a, skip: b },
+                _ => SampleMode::auto(total, target),
+            };
+            let walked: Vec<u64> = mode.blocks(total).collect();
+            let filtered: Vec<u64> = (0..total).filter(|&l| mode.selects(l)).collect();
+            prop_assert_eq!(walked, filtered);
+        }
+    }
 
     #[test]
     fn auto_sampling_full_when_small() {

@@ -78,9 +78,18 @@ impl LaneMask {
         LaneMask(!self.0)
     }
 
-    /// Iterator over active lane indices.
+    /// Iterator over active lane indices, ascending.
+    #[inline]
     pub fn lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..WARP).filter(move |&l| self.get(l))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let lane = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(lane)
+        })
     }
 }
 
@@ -244,6 +253,40 @@ impl LaneVec<f32> {
     pub fn hsum(&self) -> f32 {
         self.0.iter().sum()
     }
+
+    /// Lane-wise fused multiply-add `self * b + c`, rounded once per lane
+    /// (IEEE 754 `fusedMultiplyAdd`, like CUDA's `fmaf`). Runs on the host's
+    /// FMA unit when it has one and falls back to `f32::mul_add`; both
+    /// compute the identical correctly rounded result.
+    #[inline]
+    pub fn mul_add(self, b: VF, c: VF) -> VF {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: the host CPU supports the `fma` feature, checked just
+            // above.
+            return unsafe { mul_add_fma(&self, &b, &c) };
+        }
+        mul_add_lanes(&self, &b, &c)
+    }
+}
+
+/// The portable lane loop behind [`LaneVec::mul_add`]. Without a hardware
+/// FMA in the target features, each `f32::mul_add` is a libm call.
+#[inline(always)]
+fn mul_add_lanes(a: &VF, b: &VF, c: &VF) -> VF {
+    LaneVec(std::array::from_fn(|l| a.0[l].mul_add(b.0[l], c.0[l])))
+}
+
+/// [`mul_add_lanes`] compiled with the `fma` target feature: the lane loop
+/// becomes vector FMA instructions instead of 32 libm calls.
+///
+/// # Safety
+///
+/// The host CPU must support the `fma` feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn mul_add_fma(a: &VF, b: &VF, c: &VF) -> VF {
+    mul_add_lanes(a, b, c)
 }
 
 macro_rules! lane_binop {
@@ -477,6 +520,93 @@ mod tests {
     fn f32_bit_roundtrip() {
         let v = VF::from_fn(|l| (l as f32).sqrt());
         assert_eq!(VF::from_bits(&v.to_bits()), v);
+    }
+
+    #[test]
+    fn lanes_iterate_set_bits_ascending() {
+        for m in [0u32, 1, 0x8000_0001, 0xdead_beef, u32::MAX] {
+            let want: Vec<usize> = (0..WARP).filter(|&l| m >> l & 1 == 1).collect();
+            assert_eq!(LaneMask(m).lanes().collect::<Vec<_>>(), want);
+        }
+    }
+
+    /// The dispatched and hardware FMA lanes against scalar
+    /// `f32::mul_add`, bit for bit; a NaN result only has to be NaN (its
+    /// payload may differ).
+    fn assert_fma_paths_agree(a: &VF, b: &VF, c: &VF) {
+        let mut paths = vec![("dispatched", a.mul_add(*b, *c))];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: the host CPU supports the `fma` feature, checked just
+            // above.
+            paths.push(("hardware", unsafe { mul_add_fma(a, b, c) }));
+        }
+        for (name, got) in paths {
+            for l in 0..WARP {
+                let want = a.lane(l).mul_add(b.lane(l), c.lane(l));
+                let got = got.lane(l);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{name} fma({}, {}, {}) = {got}, scalar {want}",
+                    a.lane(l),
+                    b.lane(l),
+                    c.lane(l)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fma_paths_match_scalar_on_special_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+            f32::EPSILON,
+        ];
+        let n = specials.len();
+        // Every (a, b, c) triple of specials, one triple per lane.
+        let triples: Vec<[f32; 3]> = (0..n * n * n)
+            .map(|i| [specials[i % n], specials[i / n % n], specials[i / (n * n)]])
+            .collect();
+        for chunk in triples.chunks(WARP) {
+            let operand = |k: usize| VF::from_fn(|l| chunk.get(l).map_or(0.0, |t| t[k]));
+            assert_fma_paths_agree(&operand(0), &operand(1), &operand(2));
+        }
+    }
+
+    #[test]
+    fn fma_paths_match_scalar_on_random_values() {
+        // Random bit patterns cover every exponent, subnormals and NaNs;
+        // the scaled draws make products and addends cancel closely, where
+        // a separately rounded multiply-add would differ.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2000 {
+            let a = VF::from_fn(|_| f32::from_bits(next() as u32));
+            let b = VF::from_fn(|_| f32::from_bits(next() as u32));
+            let c = VF::from_fn(|_| f32::from_bits(next() as u32));
+            assert_fma_paths_agree(&a, &b, &c);
+            let x = VF::from_fn(|_| (next() % 2001) as f32 / 1000.0 - 1.0);
+            let y = VF::from_fn(|_| (next() % 2001) as f32 / 1000.0 - 1.0);
+            let xy = x * y;
+            assert_fma_paths_agree(&x, &y, &-xy);
+        }
     }
 
     #[test]

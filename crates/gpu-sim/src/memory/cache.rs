@@ -74,7 +74,11 @@ impl SectoredCache {
         sector_bytes: usize,
         policy: CachePolicy,
     ) -> Self {
-        assert!(line_bytes.is_multiple_of(sector_bytes) && sector_bytes > 0);
+        assert!(
+            line_bytes.is_power_of_two() && sector_bytes.is_power_of_two(),
+            "line and sector sizes must be powers of two"
+        );
+        assert!(line_bytes.is_multiple_of(sector_bytes));
         assert!(line_bytes / sector_bytes <= 8, "dirty/valid masks are u8");
         let lines = capacity_bytes / line_bytes;
         assert!(
@@ -93,12 +97,14 @@ impl SectoredCache {
         }
     }
 
+    // Line and sector sizes are powers of two (checked in `new`): shifts
+    // and masks stand in for the divisions on the per-sector path.
     fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / self.line_bytes) % self.sets.len() as u64) as usize
+        ((line_addr >> self.line_bytes.trailing_zeros()) % self.sets.len() as u64) as usize
     }
 
     fn sector_bit(&self, sector_addr: u64) -> u8 {
-        let off = (sector_addr % self.line_bytes) / self.sector_bytes;
+        let off = (sector_addr & (self.line_bytes - 1)) >> self.sector_bytes.trailing_zeros();
         1u8 << off
     }
 

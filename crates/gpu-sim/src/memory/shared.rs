@@ -16,8 +16,13 @@ pub struct SharedMem {
 }
 
 impl SharedMem {
-    /// Create an arena able to hold `words` f32 values.
+    /// Create an arena able to hold `words` f32 values, interleaved over
+    /// `banks` banks (at most one per warp lane).
     pub fn new(words: usize, banks: usize) -> Self {
+        assert!(
+            (1..=WARP).contains(&banks),
+            "shared memory needs 1..={WARP} banks, got {banks}"
+        );
         SharedMem {
             data: vec![0.0; words],
             banks,
@@ -49,6 +54,18 @@ impl SharedMem {
         );
     }
 
+    /// The bank holding word `w`.
+    #[inline]
+    fn bank(&self, w: u32) -> usize {
+        // Bank counts are powers of two on every real device; skip the
+        // division for them.
+        if self.banks.is_power_of_two() {
+            w as usize & (self.banks - 1)
+        } else {
+            w as usize % self.banks
+        }
+    }
+
     /// Number of serialized passes for a warp access at the given word
     /// indices: `max_b (distinct words in bank b)`, minimum 1 for any
     /// active access.
@@ -56,21 +73,39 @@ impl SharedMem {
         if mask.is_empty() {
             return 0;
         }
-        // words-per-bank, deduplicated: same word in same bank broadcasts.
-        let mut per_bank: [Vec<u32>; WARP] = std::array::from_fn(|_| Vec::new());
+        // One pass when every active lane has a bank of its own.
+        let mut banks_hit = 0u32;
         for lane in mask.lanes() {
-            let w = idx.lane(lane);
-            let bank = (w as usize) % self.banks;
-            if !per_bank[bank].contains(&w) {
-                per_bank[bank].push(w);
+            banks_hit |= 1 << self.bank(idx.lane(lane));
+        }
+        if banks_hit.count_ones() == mask.count() {
+            return 1;
+        }
+        // Sorting the active words puts duplicates side by side, so each
+        // distinct word is counted once in its bank: same word in the same
+        // bank broadcasts.
+        let mut words = idx.0;
+        let mut n = WARP;
+        if !mask.is_full() {
+            n = 0;
+            for lane in mask.lanes() {
+                words[n] = idx.lane(lane);
+                n += 1;
             }
         }
-        per_bank
-            .iter()
-            .map(|v| v.len() as u64)
-            .max()
-            .unwrap_or(1)
-            .max(1)
+        let words = &mut words[..n];
+        words.sort_unstable();
+        let mut per_bank = [0u32; WARP];
+        let mut worst = 1;
+        for (i, &w) in words.iter().enumerate() {
+            if i > 0 && words[i - 1] == w {
+                continue;
+            }
+            let bank = &mut per_bank[self.bank(w)];
+            *bank += 1;
+            worst = worst.max(*bank);
+        }
+        worst as u64
     }
 
     /// Warp load. Returns the loaded lanes (inactive lanes read 0.0) and the
@@ -110,32 +145,35 @@ impl SharedMem {
         }
         // Distinct 4-word segments per bank-group decide the pass count;
         // a K-word access must be K-word aligned (as on hardware).
-        let mut segs: Vec<u32> = Vec::new();
+        let mut out = [VF::splat(0.0); K];
+        let mut segs = [0u32; WARP];
+        let mut n = 0;
         for lane in mask.lanes() {
             let base = idx.lane(lane);
             assert!(
                 (base as usize).is_multiple_of(K),
                 "vector smem access must be aligned"
             );
+            // Neighbouring lanes usually read the same segment: skip the
+            // repeat here so the sort below sees few entries.
             let seg = base / 4;
-            if !segs.contains(&seg) {
-                segs.push(seg);
+            if n == 0 || segs[n - 1] != seg {
+                segs[n] = seg;
+                n += 1;
+            }
+            let words = self
+                .data
+                .get(base as usize..base as usize + K)
+                .expect("shared vec load OOB");
+            for (v, &w) in out.iter_mut().zip(words) {
+                v.0[lane] = w;
             }
         }
+        let segs = &mut segs[..n];
+        segs.sort_unstable();
+        let distinct = 1 + segs.windows(2).filter(|p| p[0] != p[1]).count();
         // 16 B lanes: 8 segments move per 128 B pass.
-        let passes = (segs.len() as u64).div_ceil(8).max(1);
-        let out = std::array::from_fn(|k| {
-            VF::from_fn(|l| {
-                if mask.get(l) {
-                    let i = idx.lane(l) as usize + k;
-                    assert!(i < self.data.len(), "shared vec load OOB");
-                    self.data[i]
-                } else {
-                    0.0
-                }
-            })
-        });
-        (out, passes)
+        (out, (distinct as u64).div_ceil(8))
     }
 
     /// Fault-injection hook ([`crate::faults`]): flip one bit of word
@@ -157,7 +195,7 @@ impl SharedMem {
         #[cfg(debug_assertions)]
         self.assert_inactive_lanes_ignored(idx, mask, passes);
         // Iterate high→low so the lowest active lane's value lands last.
-        for lane in mask.lanes().collect::<Vec<_>>().into_iter().rev() {
+        for lane in (0..WARP).rev().filter(|&l| mask.get(l)) {
             let i = idx.lane(lane) as usize;
             assert!(
                 i < self.data.len(),
@@ -173,9 +211,98 @@ impl SharedMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn smem(words: usize) -> SharedMem {
         SharedMem::new(words, 32)
+    }
+
+    /// The straightforward pass count: a per-bank list of distinct words.
+    fn passes_oracle(banks: usize, idx: &VU, mask: LaneMask) -> u64 {
+        if mask.is_empty() {
+            return 0;
+        }
+        let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks];
+        for lane in mask.lanes() {
+            let w = idx.lane(lane);
+            let bank = &mut per_bank[w as usize % banks];
+            if !bank.contains(&w) {
+                bank.push(w);
+            }
+        }
+        per_bank
+            .iter()
+            .map(|v| v.len() as u64)
+            .max()
+            .unwrap_or(0)
+            .max(1)
+    }
+
+    /// The straightforward vector-load pass count: distinct 16-byte
+    /// segments, eight per pass.
+    fn vec_passes_oracle(idx: &VU, mask: LaneMask) -> u64 {
+        let segs: std::collections::BTreeSet<u32> = mask.lanes().map(|l| idx.lane(l) / 4).collect();
+        (segs.len() as u64).div_ceil(8)
+    }
+
+    /// Word indices shaped to hit the interesting pass counts: arbitrary,
+    /// broadcast-heavy, all lanes in one bank (up to 32-way), and a few
+    /// words per bank with repeats.
+    fn shaped(raw: &[u32], shape: u32) -> VU {
+        VU::from_fn(|l| match shape {
+            0 => raw[l] % 4096,
+            1 => raw[l] % 4,
+            2 => (raw[l] % 64) * 32,
+            _ => (raw[l] % 3) * 32 + (l as u32 % 5),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn passes_match_per_bank_oracle(
+            raw in prop::collection::vec(any::<u32>(), WARP),
+            mask in any::<u32>(),
+            shape in 0u32..4,
+            banks_pow in 0u32..6,
+        ) {
+            let idx = shaped(&raw, shape);
+            let mask = LaneMask(mask);
+            let banks = 1usize << banks_pow;
+            let s = SharedMem::new(8192, banks);
+            prop_assert_eq!(s.passes(&idx, mask), passes_oracle(banks, &idx, mask));
+            prop_assert_eq!(s.passes(&idx, LaneMask::ALL), passes_oracle(banks, &idx, LaneMask::ALL));
+        }
+
+        #[test]
+        fn vec_load_passes_match_segment_oracle(
+            raw in prop::collection::vec(any::<u32>(), WARP),
+            mask in any::<u32>(),
+            shape in 0u32..4,
+        ) {
+            let idx = shaped(&raw, shape) * 4;
+            let mask = LaneMask(mask);
+            let s = SharedMem::new(4096 * 4 + 4, 32);
+            let (_, passes) = s.load_vec::<4>(&idx, mask);
+            prop_assert_eq!(passes, vec_passes_oracle(&idx, mask));
+        }
+    }
+
+    #[test]
+    fn passes_oracle_agrees_on_the_named_cases() {
+        let s = smem(2048);
+        for (idx, want) in [
+            (VU::lane_id(), 1),
+            (VU::splat(5), 1),
+            (VU::from_fn(|l| (l * 2) as u32), 2),
+            (VU::from_fn(|l| (l * 32) as u32), 32),
+            (VU::from_fn(|l| (l / 2 * 32) as u32), 16),
+        ] {
+            assert_eq!(s.passes(&idx, LaneMask::ALL), want);
+            assert_eq!(passes_oracle(32, &idx, LaneMask::ALL), want);
+        }
+        assert_eq!(passes_oracle(32, &VU::splat(0), LaneMask::NONE), 0);
     }
 
     #[test]

@@ -16,6 +16,12 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> benchmark unit tests (perfbench)"
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace test run above skips its unit tests (printed_metrics_are_declared
+# and the statistics, span and workload checks).
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> hazard-analysis gate (ablation --analyze --gate)"
 cargo run --release -q -p memconv-bench --bin ablation -- --analyze --gate
 
