@@ -48,7 +48,7 @@ pub struct DeviceConfig {
     pub line_bytes: usize,
     /// Sector size in bytes (fill & transaction granularity).
     pub sector_bytes: usize,
-    /// Shared-memory banks.
+    /// Shared-memory banks (a power of two, at most 32).
     pub smem_banks: usize,
     /// Registers (32-bit) per SM.
     pub regs_per_sm: u32,
