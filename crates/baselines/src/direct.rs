@@ -82,14 +82,8 @@ impl ConvNchwAlgorithm for DirectConv {
         let bw = sim.mem.upload(weights.as_slice());
         let bo = sim.mem.alloc(g.out_elems());
         let stats = launch_conv_nchw_ours(sim, bi, bw, bo, &g, &self.cfg());
-        let out = Tensor4::from_vec(
-            n,
-            g.out_channels,
-            g.out_h(),
-            g.out_w(),
-            sim.mem.download(bo).to_vec(),
-        )
-        .expect("shape by construction");
+        let out = Tensor4::from_vec(n, g.out_channels, g.out_h(), g.out_w(), sim.mem.take(bo))
+            .expect("shape by construction");
         let mut rep = RunReport::new();
         rep.push("direct", stats);
         if self.label == "NPP" {

@@ -484,8 +484,8 @@ impl ConvNchwAlgorithm for FftConv {
         }
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }
@@ -711,8 +711,8 @@ impl ConvNchwAlgorithm for FftTiling {
         rep.push("fft_tiling_main", stats);
 
         rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

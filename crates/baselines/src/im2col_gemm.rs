@@ -277,8 +277,8 @@ impl ConvNchwAlgorithm for Im2colGemm {
         } else {
             rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S * groups as f64);
         }
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

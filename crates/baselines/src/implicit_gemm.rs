@@ -260,8 +260,7 @@ fn run_implicit(
     );
 
     rep.add_api_overhead(crate::CUDNN_CALL_OVERHEAD_S);
-    let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-        .expect("shape by construction");
+    let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, rep)
 }
 

@@ -158,8 +158,8 @@ impl ConvNchwAlgorithm for MecConv {
             rep.push(format!("mec_gemm[{img}]"), stats);
         }
 
-        let out = Tensor4::from_vec(n, fn_, oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out =
+            Tensor4::from_vec(n, fn_, oh, ow, sim.mem.take(bo)).expect("shape by construction");
         (out, rep)
     }
 }

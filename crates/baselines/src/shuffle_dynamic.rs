@@ -134,8 +134,7 @@ impl Conv2dAlgorithm for ShuffleDynamic {
             });
         });
 
-        let out = Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec())
-            .expect("shape by construction");
+        let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
         let mut rep = RunReport::new();
         rep.push("shuffle_dynamic", stats);
         (out, rep)

@@ -211,8 +211,7 @@ pub fn conv2d_ours_padded(
     let bf = sim.mem.upload(filter.as_slice());
     let bo = sim.mem.alloc(oh * ow);
     let stats = launch_conv2d_ours_padded(sim, bi, bf, bo, ih, iw, fh, fw, g.pad_h, g.pad_w, cfg);
-    let out =
-        Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec()).expect("shape by construction");
+    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, stats)
 }
 
@@ -230,8 +229,7 @@ pub fn conv2d_ours(
     let bf = sim.mem.upload(filter.as_slice());
     let bo = sim.mem.alloc(oh * ow);
     let stats = launch_conv2d_ours(sim, bi, bf, bo, ih, iw, fh, fw, cfg);
-    let out =
-        Image2D::from_vec(oh, ow, sim.mem.download(bo).to_vec()).expect("shape by construction");
+    let out = Image2D::from_vec(oh, ow, sim.mem.take(bo)).expect("shape by construction");
     (out, stats)
 }
 

@@ -228,7 +228,7 @@ pub fn try_conv_depthwise(
         g.out_channels,
         g.out_h(),
         g.out_w(),
-        sim.mem.download(bo).to_vec(),
+        sim.mem.take(bo),
     )
     .expect("shape by construction");
     Ok((out, stats))

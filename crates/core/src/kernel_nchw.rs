@@ -287,14 +287,8 @@ pub fn conv_nchw_ours(
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
     let stats = launch_conv_nchw_ours(sim, bi, bw, bo, &g, cfg);
-    let out = Tensor4::from_vec(
-        n,
-        g.out_channels,
-        g.out_h(),
-        g.out_w(),
-        sim.mem.download(bo).to_vec(),
-    )
-    .expect("shape by construction");
+    let out = Tensor4::from_vec(n, g.out_channels, g.out_h(), g.out_w(), sim.mem.take(bo))
+        .expect("shape by construction");
     (out, stats)
 }
 
@@ -327,14 +321,8 @@ pub fn try_conv_nchw_ours(
     let bw = sim.mem.upload(weights.as_slice());
     let bo = sim.mem.alloc(g.out_elems());
     let stats = try_launch_conv_nchw_ours(sim, bi, bw, bo, &g, cfg)?;
-    let out = Tensor4::from_vec(
-        n,
-        g.out_channels,
-        g.out_h(),
-        g.out_w(),
-        sim.mem.download(bo).to_vec(),
-    )
-    .expect("shape by construction");
+    let out = Tensor4::from_vec(n, g.out_channels, g.out_h(), g.out_w(), sim.mem.take(bo))
+        .expect("shape by construction");
     Ok((out, stats))
 }
 

@@ -56,34 +56,25 @@ impl GlobalMem {
         BufId(self.bufs.len() - 1)
     }
 
-    /// Read back a buffer.
+    /// Read back a buffer. A buffer handed out by [`GlobalMem::take`]
+    /// reads back empty.
     pub fn download(&self, id: BufId) -> &[f32] {
         &self.bufs[id.0].data
     }
 
-    /// Read back the first `len` elements of a buffer.
-    ///
-    /// The aliasing primitive of planned buffer reuse (e.g. the layer-graph
-    /// executor's ping-pong intermediate pool): a pool buffer is sized to
-    /// the largest tensor ever assigned to it, a smaller logical tensor
-    /// occupies a prefix, and the caller tracks logical lengths. Panics if
-    /// `len` exceeds the buffer's capacity.
-    pub fn download_prefix(&self, id: BufId, len: usize) -> &[f32] {
-        let buf = &self.bufs[id.0];
-        assert!(
-            len <= buf.data.len(),
-            "prefix read OOB: buffer {} has {} elems, prefix {}",
-            id.0,
-            buf.data.len(),
-            len
-        );
-        &buf.data[..len]
+    /// Move a buffer's contents out to the host without copying: how a
+    /// result leaves the simulator. The buffer is left with length 0 and
+    /// no longer counts as live in [`GlobalMem::total_elems`]; any later
+    /// device access to it fails as an out-of-bounds access. Its base
+    /// address, and the address of every later allocation, are unchanged,
+    /// so coalescing, cache behaviour and every counter are too.
+    pub fn take(&mut self, id: BufId) -> Vec<f32> {
+        std::mem::take(&mut self.bufs[id.0].data)
     }
 
     /// Overwrite a prefix of a buffer's contents from the host, leaving the
-    /// tail untouched. The host-write counterpart of
-    /// [`GlobalMem::download_prefix`]: re-homing a logical tensor into an
-    /// oversized pool buffer. Panics if `data` exceeds the capacity.
+    /// tail untouched: re-homing a logical tensor into an oversized pool
+    /// buffer. Panics if `data` exceeds the capacity.
     pub fn write_host_prefix(&mut self, id: BufId, data: &[f32]) {
         let buf = &mut self.bufs[id.0];
         assert!(
@@ -162,7 +153,8 @@ impl GlobalMem {
         }
     }
 
-    /// Total allocated elements across live buffers.
+    /// Total allocated elements across live buffers. A buffer handed out
+    /// by [`GlobalMem::take`] counts 0.
     pub fn total_elems(&self) -> usize {
         self.bufs.iter().map(|b| b.data.len()).sum()
     }
@@ -233,10 +225,9 @@ mod tests {
         let mut m = GlobalMem::new();
         let pool = m.upload(&[9.0; 8]);
         m.write_host_prefix(pool, &[1.0, 2.0, 3.0]);
-        assert_eq!(m.download_prefix(pool, 3), &[1.0, 2.0, 3.0]);
+        assert_eq!(&m.download(pool)[..3], &[1.0, 2.0, 3.0]);
         // The tail is untouched — stale data beyond the logical length.
         assert_eq!(m.download(pool)[3], 9.0);
-        assert_eq!(m.download_prefix(pool, 8).len(), 8);
     }
 
     #[test]
@@ -248,11 +239,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prefix read OOB")]
-    fn oversized_prefix_read_panics() {
+    fn take_moves_the_contents_out_intact() {
         let mut m = GlobalMem::new();
-        let a = m.alloc(2);
-        let _ = m.download_prefix(a, 3);
+        let a = m.upload(&[1.0, 2.0, 3.0]);
+        assert_eq!(m.take(a), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn taken_buffer_is_empty_and_no_longer_live() {
+        let mut m = GlobalMem::new();
+        let a = m.alloc(7);
+        let b = m.alloc(5);
+        let before = m.total_elems();
+        let _ = m.take(b);
+        assert_eq!(m.len(b), 0);
+        assert!(m.is_empty(b));
+        assert!(m.download(b).is_empty());
+        assert_eq!(m.total_elems(), before - 5);
+        assert_eq!(m.len(a), 7);
+    }
+
+    #[test]
+    fn take_leaves_every_address_unchanged() {
+        let mut plain = GlobalMem::new();
+        let mut taken = GlobalMem::new();
+        let (a0, a1) = (plain.alloc(100), taken.alloc(100));
+        let _ = taken.take(a1);
+        assert_eq!(plain.addr(a0, 3), taken.addr(a1, 3));
+        let (b0, b1) = (plain.alloc(9), taken.alloc(9));
+        assert_eq!(plain.addr(b0, 0), taken.addr(b1, 0));
+    }
+
+    #[test]
+    fn device_read_of_a_taken_buffer_is_out_of_bounds() {
+        use crate::lane::LaneMask;
+        use crate::{DeviceConfig, GpuSim, LaunchConfig, LaunchError};
+        let mut sim = GpuSim::new(DeviceConfig::test_tiny());
+        let x = sim.mem.upload(&[7.0; 32]);
+        let y = sim.mem.alloc(32);
+        let _ = sim.mem.take(x);
+        let err = sim
+            .try_launch(&LaunchConfig::linear(1, 32), |blk| {
+                blk.each_warp(|w| {
+                    let tid = w.thread_idx();
+                    let v = w.gld(x, &tid, LaneMask::ALL);
+                    w.gst(y, &tid, &v, LaneMask::ALL);
+                });
+            })
+            .unwrap_err();
+        assert!(matches!(err, LaunchError::OutOfBounds(_)), "{err:?}");
+        // The stale contents never reached the device.
+        assert_eq!(sim.mem.download(y), &[0.0; 32]);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   through a per-executor plan cache (heuristic oracle fill on miss —
 //!   zero modeled planning cost, the serving stack's convention).
 //! * **LayerAtATime** — every IR node is its own kernel in its own fresh
-//!   `GpuSim`, with the intermediate tensor downloaded to the host and
-//!   re-uploaded for the next layer — the classic framework dispatch
-//!   loop. Same plan cache, same kernels, no fusion, no pool.
+//!   `GpuSim`, with the intermediate tensor moved to the host
+//!   (`GlobalMem::take`) and uploaded for the next layer — the classic
+//!   framework dispatch loop. Same plan cache, same kernels, no fusion,
+//!   no pool.
 //!
 //! ## Correctness contract
 //!
@@ -438,14 +439,13 @@ impl GraphExecutor {
 
         let out_shape = graph.shape(graph.output());
         let out_slot = plan.pool.slot[graph.output().0].expect("output materializes");
-        let data = sim
-            .mem
-            .download_prefix(slots[out_slot], batch * out_shape.elems())
-            .to_vec();
+        let peak = sim.mem.total_elems();
+        // The slot may be sized for a larger tensor; the output is its prefix.
+        let mut data = sim.mem.take(slots[out_slot]);
+        data.truncate(batch * out_shape.elems());
         let output = Tensor4::from_vec(batch, out_shape.c, out_shape.h, out_shape.w, data)
             .expect("shape by construction");
 
-        let peak = sim.mem.total_elems();
         let spans = sim.take_launch_spans();
         Ok((
             output,
@@ -473,8 +473,8 @@ impl GraphExecutor {
             let dst = sim.mem.alloc(batch * graph.shape(step.output).elems());
             let label = format!("{}/{}", graph.model, step_name(graph, step));
             layers.push(self.exec_step(&mut sim, graph, step, src, dst, batch, &label)?);
-            cur = sim.mem.download(dst).to_vec();
             peak = peak.max(sim.mem.total_elems());
+            cur = sim.mem.take(dst);
             spans.extend(sim.take_launch_spans());
         }
         let out_shape = graph.shape(graph.output());

@@ -30,9 +30,9 @@
 //! one launch — which the simulator's parallel engine requires (stores
 //! are buffered, so an in-place kernel would diverge between engines).
 //! Each slot is sized to the largest tensor assigned to it; smaller
-//! tensors occupy a prefix (`GlobalMem::download_prefix`) and every
-//! kernel writes its whole logical output unconditionally, so stale tail
-//! data from an earlier layer is never observable.
+//! tensors occupy a prefix and every kernel writes its whole logical
+//! output unconditionally, so stale tail data from an earlier layer is
+//! never observable.
 
 use crate::ir::{GraphIrError, LayerGraph, LayerOp, TensorId};
 

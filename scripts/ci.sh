@@ -22,6 +22,20 @@ echo "==> benchmark unit tests (perfbench)"
 # and the statistics, span and workload checks).
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark smoke (perfbench paper-sweep, traced and untraced)"
+# One second of the benchmark's paper sweep. It exits 1 when the traced
+# and untraced runs' modeled metrics differ, and its final JSON line counts
+# the operations that failed their check against the CPU reference.
+smoke=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload paper-sweep --seed 1 --seconds 1 --trace 1)
+result=$(printf '%s\n' "$smoke" | tail -n 1)
+failed=$(printf '%s\n' "$result" | sed -n 's/^{.*"failed": \([0-9]*\),.*/\1/p')
+if [ "$failed" != 0 ]; then
+  printf '%s\n' "$smoke" | grep -v '^{' >&2
+  echo "benchmark smoke: \"failed\" is '${failed}', not 0" >&2
+  exit 1
+fi
+
 echo "==> hazard-analysis gate (ablation --analyze --gate)"
 cargo run --release -q -p memconv-bench --bin ablation -- --analyze --gate
 
