@@ -23,7 +23,10 @@
 //! unexpected data-dependent site, or a missed positive control; `--json`
 //! appends one row per (layer, kernel, engine) to `BENCH_predict.json`
 //! (identity-deduped, so re-runs refresh in place); `--mode parallel`
-//! checks the multicore trace-replay engine instead.
+//! checks the multicore trace-replay engine instead. Each row splits its
+//! host time into `oracle_s` (the two-canary phantom prediction) and
+//! `measured_s` (the real run on random data); `wall_clock_s` is their
+//! sum.
 
 use memconv::gpusim::LaunchMode;
 use memconv::oracle::{predict_2d, predict_nchw, transaction_signature, Prediction};
@@ -44,7 +47,11 @@ struct Row {
     exact: bool,
     consistent: bool,
     data_dependent: bool,
-    wall_clock_s: f64,
+    /// Host seconds of the oracle's prediction.
+    oracle_s: f64,
+    /// Host seconds of the real run it is checked against (zero for the
+    /// positive control, which has no real run).
+    measured_s: f64,
 }
 
 impl Row {
@@ -61,13 +68,16 @@ impl Row {
         format!(
             "{{\"figure\":\"{}\",\"kernel\":\"{}\",\"mode\":\"{mode}\",\"threads\":{threads},\
              \"host_parallelism\":{},\"wall_clock_s\":{:.6},\
+             \"oracle_s\":{:.6},\"measured_s\":{:.6},\
              \"global_transactions_predicted\":{},\"global_transactions_measured\":{},\
              \"smem_passes_predicted\":{},\"smem_passes_measured\":{},\
              \"signature_match\":{},\"closed_form_exact\":{},\"data_dependent\":{}}}",
             self.figure,
             self.kernel,
             host_parallelism(),
-            self.wall_clock_s,
+            self.oracle_s + self.measured_s,
+            self.oracle_s,
+            self.measured_s,
             self.predicted[1] + self.predicted[3],
             self.measured[1] + self.measured[3],
             self.predicted[8],
@@ -165,8 +175,11 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            let oracle_s = start.elapsed().as_secs_f64();
             let seed = (m.spatial as u64) << 8 | m.filter as u64;
+            let start = Instant::now();
             let real = measure_nchw(algo.as_ref(), &device, &g, mode, seed);
+            let measured_s = start.elapsed().as_secs_f64();
             let row = Row {
                 figure: figure.clone(),
                 kernel: algo.name().to_string(),
@@ -175,7 +188,8 @@ fn main() {
                 exact: p.is_exact(),
                 consistent: p.consistent,
                 data_dependent: p.data_dependent(),
-                wall_clock_s: start.elapsed().as_secs_f64(),
+                oracle_s,
+                measured_s,
             };
             println!(
                 "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9}",
@@ -200,6 +214,7 @@ fn main() {
         let start = Instant::now();
         match predict_2d(&ShuffleDynamic::new(), &device, &g, mode) {
             Ok(p) => {
+                let oracle_s = start.elapsed().as_secs_f64();
                 let flagged = p.data_dependent();
                 println!(
                     "{:<28} {:<10} {:>14} {:>14} {:>6} {:>6} {:>9}",
@@ -220,7 +235,8 @@ fn main() {
                         exact: p.is_exact(),
                         consistent: p.consistent,
                         data_dependent: flagged,
-                        wall_clock_s: start.elapsed().as_secs_f64(),
+                        oracle_s,
+                        measured_s: 0.0,
                     });
                 }
                 Some(flagged)

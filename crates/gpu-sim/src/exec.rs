@@ -368,7 +368,8 @@ struct Resources<'a> {
     /// makes loads return the canary. `None` (the default) is the plain
     /// path, untouched.
     phantom: Option<PhantomConfig>,
-    /// Symbolic site collector; `Some` exactly when `phantom` is.
+    /// Symbolic site collector; `Some` exactly when `phantom` is armed
+    /// with [`PhantomConfig::symbolic`].
     sym: Option<&'a mut SymBlockCollector>,
     /// Instruction-budget watchdog; armed by [`GpuSim::try_launch`] (or an
     /// explicit [`GpuSim::set_watchdog_budget`]), absent otherwise.
@@ -1077,7 +1078,10 @@ fn run_block_traced(
     let mut faults = env
         .faults
         .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
-    let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
+    let mut sym = env
+        .phantom
+        .filter(|p| p.symbolic)
+        .map(|_| SymBlockCollector::for_block());
     let mut blk = BlockCtx {
         res: Resources {
             dev,
@@ -1332,8 +1336,8 @@ impl GpuSim {
     /// transaction counters are produced exactly as in a real run (for
     /// data-independent kernels), but no tensor data is read or written —
     /// loads return the canary, stores are bounds-checked and dropped —
-    /// and every access site accumulates symbolic state drained by
-    /// [`GpuSim::take_sym_report`].
+    /// and, unless [`PhantomConfig::symbolic`] is off, every access site
+    /// accumulates symbolic state drained by [`GpuSim::take_sym_report`].
     ///
     /// Phantom mode is mutually exclusive with hazard analysis and fault
     /// injection (both instrument the real datapath this mode removes);
@@ -1364,7 +1368,8 @@ impl GpuSim {
 
     /// Freeze and drain the symbolic state accumulated since phantom mode
     /// was enabled (or last drained) into a [`SymReport`]; `None` when
-    /// phantom mode is disabled. Like hazard reports, the result is
+    /// phantom mode is disabled, an empty report when it runs without
+    /// [`PhantomConfig::symbolic`]. Like hazard reports, the result is
     /// bit-identical across [`LaunchMode`]s and thread counts.
     pub fn take_sym_report(&mut self) -> Option<SymReport> {
         let st = self.phantom.as_mut()?;
@@ -1558,7 +1563,10 @@ impl GpuSim {
             let mut faults = env
                 .faults
                 .map(|p| BlockFaults::new(&p, env.launch_seq, linear));
-            let mut sym = env.phantom.map(|_| SymBlockCollector::for_block());
+            let mut sym = env
+                .phantom
+                .filter(|p| p.symbolic)
+                .map(|_| SymBlockCollector::for_block());
             let mut blk = BlockCtx {
                 res: Resources {
                     dev: &self.device,
@@ -2190,7 +2198,10 @@ mod phantom_tests {
         let run = |mode, canary| {
             let mut sim = GpuSim::new(DeviceConfig::test_tiny())
                 .with_launch_mode(mode)
-                .with_phantom(PhantomConfig { canary });
+                .with_phantom(PhantomConfig {
+                    canary,
+                    ..PhantomConfig::default()
+                });
             sim.set_parallel_threads(Some(3));
             let stats = mixed(&mut sim);
             (stats, sim.take_sym_report().expect("phantom armed"))
@@ -2203,6 +2214,28 @@ mod phantom_tests {
         // every address-stream hash untouched (data-independent kernel).
         let (_, r_canary) = run(LaunchMode::Sequential, -7.5);
         assert_eq!(r_seq.stream_hashes(), r_canary.stream_hashes());
+    }
+
+    #[test]
+    fn phantom_without_symbolic_state_keeps_every_counter() {
+        for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+            let run = |symbolic| {
+                let mut sim = GpuSim::new(DeviceConfig::test_tiny())
+                    .with_launch_mode(mode)
+                    .with_phantom(PhantomConfig {
+                        symbolic,
+                        ..PhantomConfig::default()
+                    });
+                sim.set_parallel_threads(Some(3));
+                let stats = mixed(&mut sim);
+                (stats, sim.take_sym_report().expect("phantom armed"))
+            };
+            let (full, report) = run(true);
+            let (bare, empty) = run(false);
+            assert_eq!(full, bare, "{mode:?}: counters independent of collection");
+            assert!(!report.sites.is_empty());
+            assert_eq!(empty, SymReport::default(), "{mode:?}: nothing collected");
+        }
     }
 
     #[test]

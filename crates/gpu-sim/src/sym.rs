@@ -48,7 +48,9 @@
 //! The [`SymSiteRecord::mismatches`] counter therefore doubles as a proof
 //! obligation: it is zero exactly when the closed form and the hardware
 //! model agree, which the `predict` CI gate enforces over the full
-//! first-party kernel zoo.
+//! first-party kernel zoo. That is why the closed forms share no code with
+//! [`crate::memory::coalesce_into`] or [`crate::memory::SharedMem::passes`].
+//! Like them, they allocate nothing per request.
 //!
 //! `DataDependent` is required (soundness) precisely when an index is
 //! computed from *loaded values* or routed through a dynamically indexed
@@ -75,11 +77,20 @@ pub struct PhantomConfig {
     /// Running the same kernel under two different canaries and comparing
     /// [`SymReport`] stream hashes is the data-independence test.
     pub canary: f32,
+    /// Collect per-site symbolic state ([`SymReport`]) alongside the
+    /// counters. `false` runs the counters alone: no collector is built,
+    /// no request is fitted or hashed, and
+    /// [`crate::exec::GpuSim::take_sym_report`] drains an empty report.
+    /// The counters are identical either way.
+    pub symbolic: bool,
 }
 
 impl Default for PhantomConfig {
     fn default() -> Self {
-        PhantomConfig { canary: 1.0 }
+        PhantomConfig {
+            canary: 1.0,
+            symbolic: true,
+        }
     }
 }
 
@@ -163,6 +174,11 @@ enum Fit {
 }
 
 /// Fit `v(lane) = base + stride·lane` over the active lanes.
+///
+/// The stride is derived in `i64` whenever the first two active lanes'
+/// values differ by an `i64`-representable amount (every real address
+/// stream); only wider deltas take the `i128` division. The lane checks
+/// use `i128` adds and multiplies, which compile inline.
 fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
     let mut lanes = mask.lanes();
     let Some(l0) = lanes.next() else {
@@ -174,69 +190,93 @@ fn fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
         return Fit::Any { base: v0 };
     };
     let dv = vals[l1] as i128 - v0;
-    let dl = (l1 - l0) as i128;
-    if dv % dl != 0 {
-        return Fit::Irregular;
-    }
-    let stride = dv / dl;
-    if stride > i64::MAX as i128 || stride < i64::MIN as i128 {
-        return Fit::Irregular;
-    }
-    let base = v0 - stride * l0 as i128;
-    for l in mask.lanes() {
-        if vals[l] as i128 != base + stride * l as i128 {
+    let dl = (l1 - l0) as i64;
+    let stride = match i64::try_from(dv) {
+        Ok(dv) => {
+            if dv % dl != 0 {
+                return Fit::Irregular;
+            }
+            dv / dl
+        }
+        Err(_) => {
+            let dl = dl as i128;
+            if dv % dl != 0 {
+                return Fit::Irregular;
+            }
+            match i64::try_from(dv / dl) {
+                Ok(stride) => stride,
+                Err(_) => return Fit::Irregular,
+            }
+        }
+    };
+    for l in lanes {
+        if vals[l] as i128 - v0 != stride as i128 * (l - l0) as i128 {
             return Fit::Irregular;
         }
     }
     Fit::Affine {
-        base,
-        stride: stride as i64,
+        base: v0 - stride as i128 * l0 as i128,
+        stride,
     }
 }
 
 /// Closed-form transaction count from affine coefficients: the number of
 /// distinct sectors the 4-byte accesses `{base + stride·l | l ∈ mask}`
 /// touch, mirroring [`crate::memory::coalesce`] exactly (including
-/// sector-straddling accesses).
+/// sector-straddling accesses). A 4-byte access spans at most two sectors
+/// of `sector_bytes ≥ 4`, so the distinct set fits a stack array.
 fn sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64) -> u64 {
-    let sb = sector_bytes as i128;
-    let mut sectors: Vec<i128> = Vec::with_capacity(8);
+    assert!(
+        sector_bytes.is_power_of_two() && sector_bytes >= 4,
+        "a 4-byte access must fit in one sector's bytes"
+    );
+    let align = !(sector_bytes as i128 - 1);
+    let mut sectors = [0i128; 2 * WARP];
+    let mut n = 0;
     for l in mask.lanes() {
         let a = base + stride as i128 * l as i128;
-        let first = a & !(sb - 1);
-        let last = (a + 3) & !(sb - 1);
-        let mut s = first;
-        loop {
-            if !sectors.contains(&s) {
-                sectors.push(s);
-            }
-            if s == last {
-                break;
-            }
-            s += sb;
+        let first = a & align;
+        let last = (a + 3) & align;
+        if !sectors[..n].contains(&first) {
+            sectors[n] = first;
+            n += 1;
+        }
+        if last != first && !sectors[..n].contains(&last) {
+            sectors[n] = last;
+            n += 1;
         }
     }
-    sectors.len() as u64
+    n as u64
 }
 
 /// Closed-form pass count from affine coefficients: max distinct words per
 /// bank over `{base + stride·l | l ∈ mask}`, mirroring
 /// [`crate::memory::SharedMem::passes`] exactly.
+///
+/// A zero stride is one broadcast word (one pass); a non-zero stride gives
+/// every lane a distinct word, so the count is the most active lanes any
+/// bank receives. `banks` is a power of two (as [`crate::memory::SharedMem`]
+/// requires), so a word's bank is its low bits, which wrapping `u64`
+/// arithmetic preserves.
 fn passes_from_form(base: i128, stride: i64, mask: LaneMask, banks: u32) -> u64 {
-    let mut per_bank: [Vec<i128>; WARP] = std::array::from_fn(|_| Vec::new());
-    for l in mask.lanes() {
-        let w = base + stride as i128 * l as i128;
-        let bank = (w.rem_euclid(banks as i128)) as usize;
-        if !per_bank[bank].contains(&w) {
-            per_bank[bank].push(w);
-        }
+    debug_assert!(
+        banks.is_power_of_two() && banks as usize <= WARP,
+        "bank count {banks} is not a power of two in 1..={WARP}"
+    );
+    if mask.is_empty() || stride == 0 {
+        return 1;
     }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u64)
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    let bank_mask = u64::from(banks - 1);
+    let (b0, s) = (base as u64, stride as u64);
+    let mut per_bank = [0u32; WARP];
+    let mut worst = 0;
+    for l in mask.lanes() {
+        let bank = b0.wrapping_add(s.wrapping_mul(l as u64)) & bank_mask;
+        let count = &mut per_bank[bank as usize];
+        *count += 1;
+        worst = worst.max(*count);
+    }
+    u64::from(worst)
 }
 
 /// Splitmix64 finalizer — the digest step of the stream hashes.
@@ -549,6 +589,7 @@ impl SymReport {
 mod tests {
     use super::*;
     use crate::memory::coalesce;
+    use proptest::prelude::*;
 
     fn site(line: u32) -> SiteId {
         SiteId {
@@ -560,6 +601,186 @@ mod tests {
 
     fn vals(f: impl Fn(usize) -> u64) -> [u64; WARP] {
         std::array::from_fn(f)
+    }
+
+    /// The original `Vec`/`rem_euclid`/`i128`-division closed forms, kept
+    /// as naive oracles for the allocation-free ones.
+    fn naive_fit_affine(vals: &[u64; WARP], mask: LaneMask) -> Fit {
+        let mut lanes = mask.lanes();
+        let Some(l0) = lanes.next() else {
+            return Fit::Irregular;
+        };
+        let v0 = vals[l0] as i128;
+        let Some(l1) = lanes.next() else {
+            return Fit::Any { base: v0 };
+        };
+        let dv = vals[l1] as i128 - v0;
+        let dl = (l1 - l0) as i128;
+        if dv % dl != 0 {
+            return Fit::Irregular;
+        }
+        let stride = dv / dl;
+        if stride > i64::MAX as i128 || stride < i64::MIN as i128 {
+            return Fit::Irregular;
+        }
+        let base = v0 - stride * l0 as i128;
+        for l in mask.lanes() {
+            if vals[l] as i128 != base + stride * l as i128 {
+                return Fit::Irregular;
+            }
+        }
+        Fit::Affine {
+            base,
+            stride: stride as i64,
+        }
+    }
+
+    fn naive_sectors_from_form(base: i128, stride: i64, mask: LaneMask, sector_bytes: u64) -> u64 {
+        let sb = sector_bytes as i128;
+        let mut sectors: Vec<i128> = Vec::with_capacity(8);
+        for l in mask.lanes() {
+            let a = base + stride as i128 * l as i128;
+            let first = a & !(sb - 1);
+            let last = (a + 3) & !(sb - 1);
+            let mut s = first;
+            loop {
+                if !sectors.contains(&s) {
+                    sectors.push(s);
+                }
+                if s == last {
+                    break;
+                }
+                s += sb;
+            }
+        }
+        sectors.len() as u64
+    }
+
+    fn naive_passes_from_form(base: i128, stride: i64, mask: LaneMask, banks: u32) -> u64 {
+        let mut per_bank: [Vec<i128>; WARP] = std::array::from_fn(|_| Vec::new());
+        for l in mask.lanes() {
+            let w = base + stride as i128 * l as i128;
+            let bank = (w.rem_euclid(banks as i128)) as usize;
+            if !per_bank[bank].contains(&w) {
+                per_bank[bank].push(w);
+            }
+        }
+        per_bank
+            .iter()
+            .map(|v| v.len() as u64)
+            .max()
+            .unwrap_or(1)
+            .max(1)
+    }
+
+    /// A base drawn from one of several regions: anywhere in `u64`, near
+    /// the `u64` and `i64` edges, small negatives and near `i64::MIN`.
+    fn edge_base(kind: u8, r: u64) -> i128 {
+        match kind % 6 {
+            0 => r as i128,
+            1 => u64::MAX as i128 - (r % 256) as i128,
+            2 => i64::MAX as i128 + (r % 512) as i128 - 256,
+            3 => -((r % 4096) as i128),
+            4 => i64::MIN as i128 + (r % 256) as i128,
+            _ => (r % 4096) as i128,
+        }
+    }
+
+    const LARGE_STRIDES: [i64; 8] = [
+        i64::MAX,
+        i64::MIN,
+        1 << 40,
+        -(1 << 40),
+        (1 << 62) + 1,
+        -(1 << 62) - 3,
+        1 << 61,
+        4096 + 4,
+    ];
+
+    /// A stride in `-64..=64` or one of [`LARGE_STRIDES`].
+    fn edge_stride(kind: u8, small: i64) -> i64 {
+        if kind.is_multiple_of(4) {
+            LARGE_STRIDES[(small.unsigned_abs() % LARGE_STRIDES.len() as u64) as usize]
+        } else {
+            small
+        }
+    }
+
+    /// A random mask, or an empty, full, single-lane, two-lane or prefix
+    /// one.
+    fn edge_mask(kind: u8, r: u32) -> LaneMask {
+        match kind % 6 {
+            0 => LaneMask::NONE,
+            1 => LaneMask::ALL,
+            2 => LaneMask(1 << (r % 32)),
+            3 => LaneMask(1 << (r % 32) | 1 << ((r >> 8) % 32)),
+            4 => LaneMask::first((r % 33) as usize),
+            _ => LaneMask(r),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn closed_forms_match_their_naive_oracles(
+            base_kind in 0u8..6,
+            base_bits in any::<u64>(),
+            stride_kind in 0u8..4,
+            small in -64i64..65,
+            mask_kind in 0u8..6,
+            mask_bits in any::<u32>(),
+            banks in prop::sample::select(vec![16u32, 32]),
+            sector_bytes in prop::sample::select(vec![4u64, 32, 128]),
+        ) {
+            let base = edge_base(base_kind, base_bits);
+            let stride = edge_stride(stride_kind, small);
+            let mask = edge_mask(mask_kind, mask_bits);
+            prop_assert_eq!(
+                sectors_from_form(base, stride, mask, sector_bytes),
+                naive_sectors_from_form(base, stride, mask, sector_bytes),
+                "sectors: base {} stride {} mask {:?} sector {}", base, stride, mask, sector_bytes
+            );
+            prop_assert_eq!(
+                passes_from_form(base, stride, mask, banks),
+                naive_passes_from_form(base, stride, mask, banks),
+                "passes: base {} stride {} mask {:?} banks {}", base, stride, mask, banks
+            );
+        }
+
+        #[test]
+        fn affine_fit_matches_its_naive_oracle(
+            base_kind in 0u8..6,
+            base_bits in any::<u64>(),
+            stride_kind in 0u8..4,
+            small in -64i64..65,
+            mask_kind in 0u8..6,
+            mask_bits in any::<u32>(),
+            shape in 0u8..3,
+            noise in any::<u64>(),
+        ) {
+            let base = edge_base(base_kind, base_bits);
+            let stride = edge_stride(stride_kind, small);
+            let mask = edge_mask(mask_kind, mask_bits);
+            // Affine values wrapped into u64 (exact unless they cross an
+            // edge), the same with one lane perturbed, or noise.
+            let affine = |l: usize| (base + stride as i128 * l as i128) as u64;
+            let vals: [u64; WARP] = match shape {
+                0 => std::array::from_fn(affine),
+                1 => {
+                    let hit = (noise % WARP as u64) as usize;
+                    std::array::from_fn(|l| {
+                        if l == hit { affine(l) ^ (1 << (noise >> 58)) } else { affine(l) }
+                    })
+                }
+                _ => std::array::from_fn(|l| mix64(noise ^ l as u64)),
+            };
+            prop_assert_eq!(
+                fit_affine(&vals, mask),
+                naive_fit_affine(&vals, mask),
+                "vals {:?} mask {:?}", vals, mask
+            );
+        }
     }
 
     #[test]

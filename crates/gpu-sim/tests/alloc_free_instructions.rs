@@ -3,10 +3,12 @@
 //! warps issue a handful of `gld`/`gst`/`sld`/`sld_vec`/`sst`/`fma`
 //! instructions or many times that. Launch set-up (the caches, the shared
 //! arena) and a cache set's first line may allocate; the instructions
-//! themselves may not.
+//! themselves may not. The same holds for a phantom launch that records
+//! symbolic state: the per-block collector and a site's first record may
+//! allocate; fitting, predicting and hashing a request may not.
 
 use memconv_gpusim::lane::{LaneMask, VF, VU};
-use memconv_gpusim::{DeviceConfig, GpuSim, LaunchConfig};
+use memconv_gpusim::{DeviceConfig, GpuSim, LaunchConfig, PhantomConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -65,10 +67,14 @@ const WORD_MASK: u32 = WORDS as u32 - 1;
 /// Heap allocations made by one sequential one-block launch whose warps
 /// each run `iters` rounds of every counted memory and FMA instruction,
 /// with coalesced, scattered, bank-conflicting, broadcast and partially
-/// masked accesses. Also checks the instruction counters, so the loop is
+/// masked accesses — in phantom mode with symbolic recording when
+/// `phantom` is set. Also checks the instruction counters, so the loop is
 /// known to have issued what it claims.
-fn launch_allocs(iters: u32) -> u64 {
+fn launch_allocs(iters: u32, phantom: bool) -> u64 {
     let mut sim = GpuSim::new(DeviceConfig::rtx2080ti());
+    if phantom {
+        sim.set_phantom(Some(PhantomConfig::default()));
+    }
     let x = sim.mem.upload(&vec![1.5; WORDS]);
     let y = sim.mem.alloc(WORDS);
     let cfg = LaunchConfig::linear(1, THREADS).with_shared(WORDS);
@@ -101,6 +107,19 @@ fn launch_allocs(iters: u32) -> u64 {
     assert_eq!(stats.gst_requests, 2 * warp_iters);
     assert_eq!(stats.smem_accesses, 5 * warp_iters);
     assert_eq!(stats.fma_instrs, 2 * warp_iters);
+    if phantom {
+        let report = sim.take_sym_report().expect("phantom armed");
+        let recorded: u64 = report.sites.iter().map(|s| s.requests).sum();
+        assert_eq!(
+            recorded,
+            9 * warp_iters,
+            "every memory request was recorded"
+        );
+        assert!(
+            report.sites.iter().any(|s| s.predicted_requests > 0),
+            "the closed forms ran"
+        );
+    }
     made
 }
 
@@ -108,13 +127,26 @@ fn launch_allocs(iters: u32) -> u64 {
 fn launch_allocations_do_not_grow_with_instruction_count() {
     // Warm up lazily initialised process state (feature detection, the
     // allocator itself) outside the measured launches.
-    launch_allocs(1);
-    let few = launch_allocs(2);
-    let many = launch_allocs(64);
+    launch_allocs(1, false);
+    let few = launch_allocs(2, false);
+    let many = launch_allocs(64, false);
     assert!(few > 0, "the counting allocator saw the launch set-up");
     assert_eq!(
         few, many,
         "a launch issuing 32x the warp instructions made {many} heap allocations \
          instead of {few}: a per-instruction primitive allocates"
+    );
+}
+
+#[test]
+fn symbolic_recording_allocations_do_not_grow_with_request_count() {
+    launch_allocs(1, true);
+    let few = launch_allocs(2, true);
+    let many = launch_allocs(64, true);
+    assert!(few > 0, "the counting allocator saw the launch set-up");
+    assert_eq!(
+        few, many,
+        "a phantom launch recording 32x the warp requests made {many} heap \
+         allocations instead of {few}: the symbolic path allocates per request"
     );
 }

@@ -39,7 +39,9 @@
 //! The serve planner uses the oracle as its *instant* cold-start path: a
 //! cache miss is answered from phantom-scored candidates immediately
 //! (provenance `heuristic`), while the sampled trial sweep runs as
-//! background refinement.
+//! background refinement. Scoring ([`score_nchw`]) needs only the
+//! counters, so it arms phantom mode without symbolic collection: no
+//! access site is fitted, predicted or hashed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -159,15 +161,23 @@ pub fn transaction_signature(s: &KernelStats) -> [u64; 9] {
 fn phantom_run(
     device: &DeviceConfig,
     mode: LaunchMode,
-    canary: f32,
+    phantom: PhantomConfig,
     run: impl FnOnce(&mut GpuSim) -> RunReport,
 ) -> (RunReport, SymReport) {
     let mut sim = GpuSim::new(device.clone())
         .with_launch_mode(mode)
-        .with_phantom(PhantomConfig { canary });
+        .with_phantom(phantom);
     let report = run(&mut sim);
     let sym = sim.take_sym_report().expect("phantom armed");
     (report, sym)
+}
+
+/// A phantom run that collects symbolic state under `canary`.
+fn symbolic(canary: f32) -> PhantomConfig {
+    PhantomConfig {
+        canary,
+        symbolic: true,
+    }
 }
 
 /// Predict the transaction metrics of `algo` on a batched NCHW geometry.
@@ -196,10 +206,10 @@ pub fn predict_nchw(
     }
     let input = Tensor4::zeros(g.batch, g.in_channels, g.in_h, g.in_w);
     let bank = FilterBank::zeros(g.out_channels, g.channels_per_group(), g.f_h, g.f_w);
-    let (report, sym) = phantom_run(device, mode, CANARY_PRIMARY, |sim| {
+    let (report, sym) = phantom_run(device, mode, symbolic(CANARY_PRIMARY), |sim| {
         algo.run_geo(sim, &input, &bank, &g).1
     });
-    let (_, shadow) = phantom_run(device, mode, CANARY_SHADOW, |sim| {
+    let (_, shadow) = phantom_run(device, mode, symbolic(CANARY_SHADOW), |sim| {
         algo.run_geo(sim, &input, &bank, &g).1
     });
     Ok(Prediction {
@@ -211,11 +221,20 @@ pub fn predict_nchw(
 
 /// One phantom scoring run — the serve planner's instant-path primitive.
 ///
-/// A single primary-canary run with no differential shadow: cheaper than
-/// [`predict_nchw`] (half the phantom cost, no certificate), returning
-/// just the [`RunReport`] whose transaction counters feed the device
-/// roofline. The planner scores every candidate with this and never
-/// generates trial data.
+/// A single primary-canary run with no differential shadow and no
+/// symbolic state: phantom mode is armed without
+/// [`PhantomConfig::symbolic`], so no site is fitted, predicted or hashed
+/// and no [`SymReport`] is built. It returns just the [`RunReport`] whose
+/// transaction counters feed the device roofline — the same counters
+/// [`predict_nchw`]'s primary run reports (test-pinned). The planner
+/// scores every candidate with this and never generates trial data.
+///
+/// Measured on the serving benchmark's pool geometries (RTX 2080 Ti
+/// configuration, `SampleMode::Auto(64)`, one thread of a 2-vCPU x86-64
+/// VM), a score costs 0.05–0.7 ms per candidate, and 1.6 ms for
+/// `gemm-im2col` on a depthwise geometry. That is 0.6–1.2× a real trial
+/// run of the same candidate and 2–7× less than a [`predict_nchw`]
+/// call (EXPERIMENTS.md, "Host cost of the oracle's instant path").
 ///
 /// # Errors
 ///
@@ -235,7 +254,11 @@ pub fn score_nchw(
     }
     let input = Tensor4::zeros(g.batch, g.in_channels, g.in_h, g.in_w);
     let bank = FilterBank::zeros(g.out_channels, g.channels_per_group(), g.f_h, g.f_w);
-    let (report, _) = phantom_run(device, mode, CANARY_PRIMARY, |sim| {
+    let counters_only = PhantomConfig {
+        canary: CANARY_PRIMARY,
+        symbolic: false,
+    };
+    let (report, _) = phantom_run(device, mode, counters_only, |sim| {
         algo.run_geo(sim, &input, &bank, &g).1
     });
     Ok(report)
@@ -264,10 +287,10 @@ pub fn predict_2d(
     }
     let img = Image2D::zeros(g.in_h, g.in_w);
     let filt = Filter2D::zeros(g.f_h, g.f_w);
-    let (report, sym) = phantom_run(device, mode, CANARY_PRIMARY, |sim| {
+    let (report, sym) = phantom_run(device, mode, symbolic(CANARY_PRIMARY), |sim| {
         algo.run(sim, &img, &filt).1
     });
-    let (_, shadow) = phantom_run(device, mode, CANARY_SHADOW, |sim| {
+    let (_, shadow) = phantom_run(device, mode, symbolic(CANARY_SHADOW), |sim| {
         algo.run(sim, &img, &filt).1
     });
     Ok(Prediction {

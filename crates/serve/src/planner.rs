@@ -169,71 +169,40 @@ fn trial_seed(g: &ConvGeometry) -> u64 {
 
 /// The NCHW serving registry: every candidate is per-image
 /// batch-equivariant (see the module docs). Order matters — it is the
-/// deterministic tie-break.
-fn nchw_candidates(sample: SampleMode) -> Vec<(Plan, Box<dyn ConvNchwAlgorithm>)> {
-    let mut cands: Vec<(Plan, Box<dyn ConvNchwAlgorithm>)> = Vec::new();
+/// deterministic tie-break. Each plan's algorithm is built by
+/// [`instantiate_nchw`], the one candidate→algorithm mapping.
+fn nchw_candidates() -> Vec<Plan> {
+    let plan = |algo: &str, config| Plan {
+        algo: algo.into(),
+        config,
+        modeled_seconds: 0.0,
+        provenance: Provenance::Trialed,
+    };
+    let mut cands = Vec::new();
     for &rows in ROWS_CANDIDATES {
         for &warps in WARP_CANDIDATES {
-            let cfg = OursConfig {
-                column_reuse: true,
-                rows_per_thread: rows,
-                block_warps: warps,
-                sample,
-            };
-            cands.push((
-                Plan {
-                    algo: "ours-fused".into(),
-                    config: PlanConfig::Ours {
-                        column_reuse: true,
-                        rows_per_thread: rows,
-                        block_warps: warps,
-                    },
-                    modeled_seconds: 0.0,
-                    provenance: Provenance::Trialed,
+            cands.push(plan(
+                "ours-fused",
+                PlanConfig::Ours {
+                    column_reuse: true,
+                    rows_per_thread: rows,
+                    block_warps: warps,
                 },
-                Box::new(Ours::with_config(cfg)),
             ));
         }
     }
-    for (name, algo) in baseline_nchw(sample) {
-        cands.push((
-            Plan {
-                algo: name.into(),
-                config: PlanConfig::Baseline,
-                modeled_seconds: 0.0,
-                provenance: Provenance::Trialed,
-            },
-            algo,
-        ));
+    // The dedicated depthwise kernel comes last: only offered where
+    // `supports_shape` accepts (groups == IC), so dense geometries never
+    // see it, and the 2D planner skips it.
+    for name in ["tiled", "direct", "gemm-im2col", "depthwise-direct"] {
+        cands.push(plan(name, PlanConfig::Baseline));
     }
-    // The dedicated depthwise kernel: only offered where `supports_shape`
-    // accepts (groups == IC), so dense geometries never see it. Kept out
-    // of `baseline_nchw` because the 2D planner lifts that list.
-    cands.push((
-        Plan {
-            algo: "depthwise-direct".into(),
-            config: PlanConfig::Baseline,
-            modeled_seconds: 0.0,
-            provenance: Provenance::Trialed,
-        },
-        Box::new(DepthwiseDirect::with_config(OursConfig {
-            sample,
-            ..OursConfig::full()
-        })),
-    ));
     cands
 }
 
-/// The configuration-free baseline candidates, by stable name.
-fn baseline_nchw(sample: SampleMode) -> Vec<(&'static str, Box<dyn ConvNchwAlgorithm>)> {
-    vec![
-        ("tiled", Box::new(TiledConv::new().with_sample(sample))),
-        ("direct", Box::new(DirectConv::new().with_sample(sample))),
-        (
-            "gemm-im2col",
-            Box::new(Im2colGemm::caffe().with_sample(sample)),
-        ),
-    ]
+/// A registry plan's algorithm; the registry only names known ones.
+fn registry_algo(plan: &Plan, sample: SampleMode) -> Box<dyn ConvNchwAlgorithm> {
+    instantiate_nchw(plan, sample).expect("registry plans name registered algorithms")
 }
 
 /// Candidate display name for the trial log.
@@ -273,7 +242,8 @@ pub fn plan_nchw(
     let mut trials = Vec::new();
     let mut planning_seconds = 0.0;
     let mut best: Option<Plan> = None;
-    for (mut plan, algo) in nchw_candidates(trial_sample) {
+    for mut plan in nchw_candidates() {
+        let algo = registry_algo(&plan, trial_sample);
         if !algo.supports_shape(&g) {
             continue;
         }
@@ -315,6 +285,11 @@ pub fn plan_nchw(
 /// extrapolate deterministically like real ones); it never affects the
 /// serving clock.
 ///
+/// The candidates are scored on [`memconv_par::num_threads`] workers
+/// (`MEMCONV_THREADS`); each score is a pure function of its candidate, and
+/// the scores are folded in registry order, so the plan and the trial log
+/// do not depend on the worker count.
+///
 /// # Errors
 ///
 /// Same surface as [`plan_nchw`].
@@ -323,16 +298,32 @@ pub fn plan_nchw_heuristic(
     g: &ConvGeometry,
     sample: SampleMode,
 ) -> Result<PlanOutcome, PlanError> {
+    plan_nchw_heuristic_with(device, g, sample, memconv_par::num_threads())
+}
+
+/// [`plan_nchw_heuristic`] scoring on `threads` workers.
+fn plan_nchw_heuristic_with(
+    device: &DeviceConfig,
+    g: &ConvGeometry,
+    sample: SampleMode,
+    threads: usize,
+) -> Result<PlanOutcome, PlanError> {
     let g = g.validate().map_err(PlanError::BadGeometry)?;
+    let cands: Vec<Plan> = nchw_candidates()
+        .into_iter()
+        .filter(|plan| registry_algo(plan, sample).supports_shape(&g))
+        .collect();
+    // A boxed algorithm is not `Sync`, so each worker builds its own. The
+    // counters are engine-independent (proptest-pinned in the oracle
+    // crate), so the scoring engine is fixed to Sequential.
+    let scores = memconv_par::map_indexed_with(cands.len(), threads, |i| {
+        let algo = registry_algo(&cands[i], sample);
+        score_nchw(algo.as_ref(), device, &g, LaunchMode::Sequential)
+    });
     let mut trials = Vec::new();
     let mut best: Option<Plan> = None;
-    for (mut plan, algo) in nchw_candidates(sample) {
-        if !algo.supports_shape(&g) {
-            continue;
-        }
-        // The counters are engine-independent (proptest-pinned in the
-        // oracle crate), so the scoring engine is fixed to Sequential.
-        let rep = match score_nchw(algo.as_ref(), device, &g, LaunchMode::Sequential) {
+    for (mut plan, score) in cands.into_iter().zip(scores) {
+        let rep = match score {
             Ok(rep) => rep,
             Err(PredictError::BadGeometry(e)) => return Err(PlanError::BadGeometry(e)),
             Err(PredictError::Unsupported { .. }) => continue,
@@ -380,33 +371,26 @@ pub fn plan_2d(
     let filt = rng.filter(g.f_h, g.f_w);
 
     let mut candidates: Vec<(Plan, Box<dyn Conv2dAlgorithm>)> = Vec::new();
-    for (plan, _) in nchw_candidates(trial_sample) {
-        if let PlanConfig::Ours {
-            column_reuse,
-            rows_per_thread,
-            block_warps,
-        } = plan.config
-        {
-            let cfg = OursConfig {
-                column_reuse,
-                rows_per_thread,
-                block_warps,
+    for plan in nchw_candidates() {
+        let algo: Box<dyn Conv2dAlgorithm> = match (&plan.algo[..], &plan.config) {
+            (
+                _,
+                PlanConfig::Ours {
+                    column_reuse,
+                    rows_per_thread,
+                    block_warps,
+                },
+            ) => Box::new(Ours::with_config(OursConfig {
+                column_reuse: *column_reuse,
+                rows_per_thread: *rows_per_thread,
+                block_warps: *block_warps,
                 sample: trial_sample,
-            };
-            candidates.push((plan, Box::new(Ours::with_config(cfg))));
-        }
-    }
-    for (name, _) in baseline_nchw(trial_sample) {
-        let plan = Plan {
-            algo: name.into(),
-            config: PlanConfig::Baseline,
-            modeled_seconds: 0.0,
-            provenance: Provenance::Trialed,
-        };
-        let algo: Box<dyn Conv2dAlgorithm> = match name {
-            "tiled" => Box::new(As2d(TiledConv::new().with_sample(trial_sample))),
-            "direct" => Box::new(As2d(DirectConv::new().with_sample(trial_sample))),
-            _ => Box::new(As2d(Im2colGemm::caffe().with_sample(trial_sample))),
+            })),
+            ("tiled", _) => Box::new(As2d(TiledConv::new().with_sample(trial_sample))),
+            ("direct", _) => Box::new(As2d(DirectConv::new().with_sample(trial_sample))),
+            ("gemm-im2col", _) => Box::new(As2d(Im2colGemm::caffe().with_sample(trial_sample))),
+            // `depthwise-direct` has no 2D lift.
+            _ => continue,
         };
         candidates.push((plan, algo));
     }
@@ -598,6 +582,80 @@ mod tests {
             .all(|(n, _)| n != "tiled" && n != "direct"));
         let h = plan_nchw_heuristic(&tiny(), &g, SampleMode::Auto(64)).unwrap();
         assert_eq!(h.trials.len(), out.trials.len());
+    }
+
+    /// One geometry per axis: dense, strided, dilated, grouped,
+    /// depthwise and padded.
+    fn axis_geometries() -> Vec<ConvGeometry> {
+        use memconv::tensor::Padding;
+        vec![
+            ConvGeometry::nchw(1, 2, 12, 12, 4, 3, 3),
+            ConvGeometry::nchw(1, 2, 13, 13, 3, 3, 3).with_stride(2, 2),
+            ConvGeometry::nchw(1, 2, 14, 14, 3, 3, 3).with_dilation(2, 2),
+            ConvGeometry::nchw(1, 4, 10, 10, 6, 3, 3).with_groups(2),
+            ConvGeometry::nchw(1, 4, 12, 12, 4, 3, 3).with_groups(4),
+            ConvGeometry::nchw(1, 2, 10, 10, 3, 3, 3)
+                .with_stride(2, 2)
+                .with_dilation(2, 2)
+                .with_padding(Padding::Explicit(1, 1))
+                .expect("valid padding"),
+        ]
+    }
+
+    #[test]
+    fn scoring_without_symbolic_state_matches_the_full_prediction() {
+        // `score_nchw` skips the symbolic collector that `predict_nchw`
+        // builds; every counter and the modeled time must not notice, for
+        // every registry candidate on every geometry axis and both engines.
+        use memconv::oracle::predict_nchw;
+        for (dev, g) in [tiny(), DeviceConfig::rtx2080ti()]
+            .into_iter()
+            .flat_map(|d| axis_geometries().into_iter().map(move |g| (d.clone(), g)))
+        {
+            let g = g.validate().unwrap();
+            for plan in nchw_candidates() {
+                let algo = registry_algo(&plan, SampleMode::Auto(64));
+                if !algo.supports_shape(&g) {
+                    continue;
+                }
+                for mode in [LaunchMode::Sequential, LaunchMode::Parallel] {
+                    let what = format!("{} on {} {mode:?}", candidate_label(&plan), g.cache_key());
+                    let score = score_nchw(algo.as_ref(), &dev, &g, mode).unwrap();
+                    let full = predict_nchw(algo.as_ref(), &dev, &g, mode).unwrap().report;
+                    assert_eq!(score.launches, full.launches, "{what}");
+                    assert_eq!(
+                        score.api_overhead_s.to_bits(),
+                        full.api_overhead_s.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        score.modeled_time(&dev).to_bits(),
+                        full.modeled_time(&dev).to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heuristic_plans_do_not_depend_on_the_worker_count() {
+        for g in axis_geometries() {
+            let one = plan_nchw_heuristic_with(&tiny(), &g, SampleMode::Auto(64), 1).unwrap();
+            let four = plan_nchw_heuristic_with(&tiny(), &g, SampleMode::Auto(64), 4).unwrap();
+            assert_eq!(one.plan, four.plan, "{}", g.cache_key());
+            let bits = |o: &PlanOutcome| {
+                o.trials
+                    .iter()
+                    .map(|(n, t)| (n.clone(), t.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&one), bits(&four), "{}", g.cache_key());
+            assert_eq!(
+                one.plan.modeled_seconds.to_bits(),
+                four.plan.modeled_seconds.to_bits()
+            );
+        }
     }
 
     #[test]

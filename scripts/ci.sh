@@ -22,19 +22,30 @@ echo "==> benchmark unit tests (perfbench)"
 # and the statistics, span and workload checks).
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# One second of a benchmark workload, traced and untraced. perfbench exits
+# 1 when the two runs' modeled metrics differ, and its final JSON line
+# counts the operations that failed their check against the CPU reference.
+perfbench_smoke() {
+  local smoke result failed
+  smoke=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$1" --seed 1 --seconds 1 --trace 1)
+  result=$(printf '%s\n' "$smoke" | tail -n 1)
+  failed=$(printf '%s\n' "$result" | sed -n 's/^{.*"failed": \([0-9]*\),.*/\1/p')
+  if [ "$failed" != 0 ]; then
+    printf '%s\n' "$smoke" | grep -v '^{' >&2
+    echo "$1 smoke: \"failed\" is '${failed}', not 0" >&2
+    exit 1
+  fi
+}
+
 echo "==> benchmark smoke (perfbench paper-sweep, traced and untraced)"
-# One second of the benchmark's paper sweep. It exits 1 when the traced
-# and untraced runs' modeled metrics differ, and its final JSON line counts
-# the operations that failed their check against the CPU reference.
-smoke=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload paper-sweep --seed 1 --seconds 1 --trace 1)
-result=$(printf '%s\n' "$smoke" | tail -n 1)
-failed=$(printf '%s\n' "$result" | sed -n 's/^{.*"failed": \([0-9]*\),.*/\1/p')
-if [ "$failed" != 0 ]; then
-  printf '%s\n' "$smoke" | grep -v '^{' >&2
-  echo "benchmark smoke: \"failed\" is '${failed}', not 0" >&2
-  exit 1
-fi
+perfbench_smoke paper-sweep
+
+echo "==> benchmark smoke (perfbench serve-churn, traced and untraced)"
+# Plan-cache churn: every miss is planned by the oracle heuristic on the
+# worker pool and refined by the trial sweep, so the planner path gets an
+# end-to-end check against the CPU reference.
+perfbench_smoke serve-churn
 
 echo "==> hazard-analysis gate (ablation --analyze --gate)"
 cargo run --release -q -p memconv-bench --bin ablation -- --analyze --gate
