@@ -3,7 +3,7 @@
 //! the rest with register-resident shuffle exchanges.
 
 use crate::plan::{ColumnPlan, Exchange};
-use memconv_gpusim::{BufId, WarpCtx, VF, VU, VU64};
+use memconv_gpusim::{BufId, WarpCtx, VF, VU};
 
 /// Execute one Algorithm 1 exchange.
 ///
@@ -20,14 +20,27 @@ use memconv_gpusim::{BufId, WarpCtx, VF, VU, VU64};
 /// 3. the value to send now sits in the **statically indexed** low half —
 ///    no dynamic indexing, so the buffer stays in registers (§IV);
 /// 4. `shfl_xor` with mask `m` delivers it to the partner lane.
+///
+/// The three register steps run in one pass over the lanes; the result is
+/// bit for bit `(VU64::pack(lo, hi) >> shift).unpack_lo()`.
 pub fn exchange_step(w: &mut WarpCtx<'_, '_>, lo_val: &VF, hi_val: &VF, e: &Exchange) -> VF {
-    let packed = VU64::pack(lo_val, hi_val);
-    let shift = VU::from_fn(|l| if l & e.mask == 0 { 32 } else { 0 });
-    let shifted = packed >> shift;
-    let send = shifted.unpack_lo();
+    let send = exchange_send(lo_val, hi_val, e.mask);
     // pack + variable shift + unpack: three register instructions.
     w.count_fp(3);
     w.shfl_xor(&send, e.mask)
+}
+
+/// Steps 1–3 of [`exchange_step`] for every lane in one pass.
+fn exchange_send(lo_val: &VF, hi_val: &VF, mask: usize) -> VF {
+    VF::from_fn(|l| {
+        // mov exchange, {lo, hi}
+        let packed =
+            u64::from(lo_val.lane(l).to_bits()) | u64::from(hi_val.lane(l).to_bits()) << 32;
+        // exchange >> shift, shift = 32 where the lane's m-bit is 0
+        let shift = if l & mask == 0 { 32 } else { 0 };
+        // the statically indexed low half
+        f32::from_bits((packed >> shift) as u32)
+    })
 }
 
 /// Load one input row's columns `x0 + lane + k`, `k ∈ [0, plan.fw)`, into
@@ -39,19 +52,19 @@ pub fn exchange_step(w: &mut WarpCtx<'_, '_>, lo_val: &VF, hi_val: &VF, e: &Exch
 ///   (loads beyond it are masked off, mirroring the halo predicate of the
 ///   CUDA kernel).
 ///
-/// Returned slots are exact for every lane whose column `x0 + lane + k`
-/// is inside the row; other lanes hold unspecified values that callers
-/// mask at the store.
+/// The slots land in `slots[..plan.fw]`, a buffer the caller owns and
+/// reuses row after row; every one of them is overwritten. They are exact
+/// for every lane whose column `x0 + lane + k` is inside the row; other
+/// lanes hold unspecified values that callers mask at the store.
 pub fn load_row_columns(
     w: &mut WarpCtx<'_, '_>,
     input: BufId,
     row_base: u32,
     cols_left: u32,
     plan: &ColumnPlan,
-) -> Vec<VF> {
+    slots: &mut [VF],
+) {
     let lane = w.lane_id();
-    let mut slots: Vec<VF> = vec![VF::splat(0.0); plan.fw];
-
     for &k in &plan.loads {
         let idx = lane + (row_base + k as u32);
         let mask = lane.lt_scalar(cols_left.saturating_sub(k as u32));
@@ -62,7 +75,6 @@ pub fn load_row_columns(
         let hi = slots[e.hi];
         slots[e.mid()] = exchange_step(w, &lo, &hi, e);
     }
-    slots
 }
 
 /// Clipped variant for zero-padded convolution: lane `l`'s slot `k` is the
@@ -161,7 +173,8 @@ mod tests {
             let plan = ColumnPlan::new(fw);
             let n = WARP + fw; // exactly enough columns for every slot
             with_ramp_warp(n, |w, buf| {
-                let ours = load_row_columns(w, buf, 0, n as u32, &plan);
+                let mut ours = vec![VF::splat(0.0); fw];
+                load_row_columns(w, buf, 0, n as u32, &plan, &mut ours);
                 for (k, slot) in ours.iter().enumerate() {
                     for l in 0..WARP {
                         assert_eq!(slot.lane(l), (l + k) as f32, "fw={fw} slot={k} lane={l}");
@@ -177,7 +190,7 @@ mod tests {
             let plan = ColumnPlan::new(fw);
             let n = WARP + fw;
             let ours = with_ramp_warp(n, |w, buf| {
-                let _ = load_row_columns(w, buf, 0, n as u32, &plan);
+                load_row_columns(w, buf, 0, n as u32, &plan, &mut [VF::splat(0.0); 7]);
             });
             let direct = with_ramp_warp(n, |w, buf| {
                 let _ = load_row_columns_direct(w, buf, 0, n as u32, fw);
@@ -199,7 +212,8 @@ mod tests {
     fn row_base_offsets_apply() {
         let plan = ColumnPlan::new(3);
         with_ramp_warp(100, |w, buf| {
-            let slots = load_row_columns(w, buf, 40, 60, &plan);
+            let mut slots = [VF::splat(0.0); 3];
+            load_row_columns(w, buf, 40, 60, &plan, &mut slots);
             assert_eq!(slots[0].lane(0), 40.0);
             assert_eq!(slots[1].lane(5), 46.0);
             assert_eq!(slots[2].lane(31), 73.0);
@@ -212,7 +226,8 @@ mod tests {
         // must not fault and must not contribute transactions.
         let plan = ColumnPlan::new(5);
         let stats = with_ramp_warp(64, |w, buf| {
-            let slots = load_row_columns(w, buf, 0, 20, &plan);
+            let mut slots = [VF::splat(0.0); 5];
+            load_row_columns(w, buf, 0, 20, &plan, &mut slots);
             // lanes 0..16 have all 5 columns in range; check an interior one
             assert_eq!(slots[4].lane(10), 14.0);
             // shuffle-filled slot for a fully-in-range lane
@@ -226,10 +241,44 @@ mod tests {
         // The point of Algorithm 1: everything stays in registers.
         let plan = ColumnPlan::new(5);
         let stats = with_ramp_warp(64, |w, buf| {
-            let _ = load_row_columns(w, buf, 0, 40, &plan);
+            load_row_columns(w, buf, 0, 40, &plan, &mut [VF::splat(0.0); 5]);
         });
         assert_eq!(stats.local_requests, 0);
         assert_eq!(stats.local_transactions(), 0);
+    }
+
+    #[test]
+    fn one_pass_send_matches_vu64_sequence_bit_for_bit() {
+        use memconv_gpusim::VU64;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA1);
+        let nan_payload = |r: u32| f32::from_bits(0x7f80_0001 | (r & 0x807f_ffff));
+        for round in 0..400 {
+            let mut bits = || -> f32 {
+                let r: u32 = rng.gen();
+                // every fourth round draws NaNs with random payloads
+                if round % 4 == 0 {
+                    nan_payload(r)
+                } else {
+                    f32::from_bits(r)
+                }
+            };
+            let lo = VF::from_fn(|_| bits());
+            let hi = VF::from_fn(|_| bits());
+            for mask in [1usize, 2, 4, 8, 16] {
+                let shift = VU::from_fn(|l| if l & mask == 0 { 32 } else { 0 });
+                let want = (VU64::pack(&lo, &hi) >> shift).unpack_lo();
+                let got = exchange_send(&lo, &hi, mask);
+                for l in 0..WARP {
+                    assert_eq!(
+                        got.lane(l).to_bits(),
+                        want.lane(l).to_bits(),
+                        "round {round} mask {mask} lane {l}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

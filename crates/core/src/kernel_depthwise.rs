@@ -86,11 +86,13 @@ pub fn depthwise_launch_parts(
             }
             let plane_base = (n * ic + c) * in_plane;
             let mut acc = vec![VF::splat(0.0); t_rows];
+            // One input row's slots, refilled for every row.
+            let mut slots = vec![VF::splat(0.0); fw];
             let first_vy = y0 * sh;
             let last_vy = ((y0 + t_rows - 1).min(oh - 1) * sh + reach_h + 1).min(ih + 2 * pad_h);
             for vy in first_vy..last_vy {
-                let contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh);
-                if contribs.is_empty() {
+                let mut contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh).peekable();
+                if contribs.peek().is_none() {
                     continue;
                 }
                 let iy = vy as i64 - pad_h as i64;
@@ -98,7 +100,6 @@ pub fn depthwise_launch_parts(
                     continue;
                 }
                 let row_base = plane_base + iy as usize * iw;
-                let mut slots: Vec<VF> = vec![VF::splat(0.0); fw];
                 let full = LaneMask::from_fn(|_| true);
                 let gather = |w: &mut WarpCtx<'_, '_>, k: usize, m: LaneMask| {
                     let mask =
@@ -128,8 +129,9 @@ pub fn depthwise_launch_parts(
                 }
                 for (o, fr) in contribs {
                     let t = o - y0;
-                    for (s, &slot) in slots.iter().enumerate() {
-                        acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
+                    let frow = &fvals[fr * fw..(fr + 1) * fw];
+                    for (&slot, &fv) in slots.iter().zip(frow) {
+                        acc[t] = w.fma(slot, fv, acc[t]);
                     }
                 }
             }

@@ -7,7 +7,7 @@
 //! shines for the small-channel-count layers (the first layers of a CNN)
 //! and cedes ground to GEMM-based algorithms when `FN × IC` grows.
 
-use crate::column_reuse::{load_row_columns, load_row_columns_direct};
+use crate::column_reuse::load_row_columns;
 use crate::kernel2d::OursConfig;
 use crate::plan::ColumnPlan;
 use crate::row_reuse::contributions_tiled;
@@ -79,7 +79,17 @@ fn nchw_launch_parts_fused(
     let gx = ow.div_ceil(cols_per_block) as u32;
     let gy = oh.div_ceil(t_rows) as u32;
     let gz = (g.batch * fn_) as u32;
-    let plan = ColumnPlan::new(fw);
+    // Without column reuse every slot is a direct load: the same loads,
+    // in the same order, as `load_row_columns_direct`.
+    let plan = if cfg.column_reuse {
+        ColumnPlan::new(fw)
+    } else {
+        ColumnPlan {
+            fw,
+            loads: (0..fw).collect(),
+            exchanges: Vec::new(),
+        }
+    };
     let launch =
         LaunchConfig::grid3d(gx, gy, gz, (WARP * cfg.block_warps) as u32).with_sample(cfg.sample);
 
@@ -101,29 +111,30 @@ fn nchw_launch_parts_fused(
                 return;
             }
 
+            // The warp's registers, allocated once: the output tile, one
+            // channel's filter plane and one input row's slots, refilled
+            // for every channel and row.
             let mut acc = vec![VF::splat(0.0); t_rows];
+            let mut fvals = vec![VF::splat(0.0); w_plane];
+            let mut slots = vec![VF::splat(0.0); fw];
             let last_in_row = (y0 + t_rows + fh - 1).min(ih);
 
             for c in 0..ic {
                 // This channel's filter plane, from constant memory.
                 let wbase = (f * ic + c) * w_plane;
-                let mut fvals: Vec<VF> = Vec::with_capacity(w_plane);
-                for i in 0..w_plane {
-                    fvals.push(w.const_load(weights, (wbase + i) as u32));
+                for (i, fv) in fvals.iter_mut().enumerate() {
+                    *fv = w.const_load(weights, (wbase + i) as u32);
                 }
                 let plane_base = (n * ic + c) * in_plane;
                 for iy in y0..last_in_row {
                     let row_base = (plane_base + iy * iw + x0) as u32;
                     let cols_left = (iw - x0) as u32;
-                    let slots = if cfg.column_reuse {
-                        load_row_columns(w, input, row_base, cols_left, &plan)
-                    } else {
-                        load_row_columns_direct(w, input, row_base, cols_left, fw)
-                    };
+                    load_row_columns(w, input, row_base, cols_left, &plan, &mut slots);
                     for (o, fr) in contributions_tiled(iy, fh, y0, t_rows, oh) {
                         let t = o - y0;
-                        for (s, &slot) in slots.iter().enumerate() {
-                            acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
+                        let frow = &fvals[fr * fw..(fr + 1) * fw];
+                        for (&slot, &fv) in slots.iter().zip(frow) {
+                            acc[t] = w.fma(slot, fv, acc[t]);
                         }
                     }
                 }

@@ -40,7 +40,8 @@ use crate::kernel_nchw::ConvEpilogue;
 /// vertical stride `sh` and dilation `dh`: `(output row, filter row)`
 /// pairs restricted to the `[tile_start, tile_start + tile_len)` tile,
 /// ascending in output row. A pair exists iff `vy = o·sh + r·dh` with
-/// `r < fh`.
+/// `r < fh`. An iterator, so the kernels walk it without building a list
+/// per row.
 pub fn contributions_geo(
     vy: usize,
     fh: usize,
@@ -49,21 +50,16 @@ pub fn contributions_geo(
     tile_start: usize,
     tile_len: usize,
     oh: usize,
-) -> Vec<(usize, usize)> {
-    if oh == 0 || tile_start >= oh {
-        return Vec::new();
-    }
+) -> impl Iterator<Item = (usize, usize)> {
     let reach = (fh - 1) * dh;
     let lo_o = vy.saturating_sub(reach).div_ceil(sh).max(tile_start);
-    let hi_o = (vy / sh).min((tile_start + tile_len).min(oh) - 1);
-    let mut out = Vec::new();
-    for o in lo_o..=hi_o {
+    // One past the last output row: the tile's end, or the last row `vy`
+    // reaches (`o·sh <= vy`). Empty when the tile starts at or past `oh`.
+    let end_o = (vy / sh + 1).min((tile_start + tile_len).min(oh));
+    (lo_o..end_o).filter_map(move |o| {
         let d = vy - o * sh;
-        if d.is_multiple_of(dh) && d / dh < fh {
-            out.push((o, d / dh));
-        }
-    }
-    out
+        (d.is_multiple_of(dh) && d / dh < fh).then_some((o, d / dh))
+    })
 }
 
 /// Build the launch geometry and kernel closure for the geometry-general
@@ -120,21 +116,25 @@ pub fn nchw_geo_launch_parts_fused(
             // Lane l's tap-k input column in real (unpadded) coordinates.
             let col = |l: usize, k: usize| ((x0 + l) * sw + k * dw) as i64 - pad_w as i64;
 
+            // The warp's registers, allocated once: the output tile, one
+            // channel's filter plane and one input row's slots, refilled
+            // for every channel and row.
             let mut acc = vec![VF::splat(0.0); t_rows];
+            let mut fvals = vec![VF::splat(0.0); w_plane];
+            let mut slots = vec![VF::splat(0.0); fw];
             // Virtual padded rows this tile touches.
             let first_vy = y0 * sh;
             let last_vy = ((y0 + t_rows - 1).min(oh - 1) * sh + reach_h + 1).min(ih + 2 * pad_h);
 
             for cg in 0..cpg {
                 let wbase = (f * cpg + cg) * w_plane;
-                let mut fvals: Vec<VF> = Vec::with_capacity(w_plane);
-                for i in 0..w_plane {
-                    fvals.push(w.const_load(weights, (wbase + i) as u32));
+                for (i, fv) in fvals.iter_mut().enumerate() {
+                    *fv = w.const_load(weights, (wbase + i) as u32);
                 }
                 let plane_base = (n * ic + c0 + cg) * in_plane;
                 for vy in first_vy..last_vy {
-                    let contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh);
-                    if contribs.is_empty() {
+                    let mut contribs = contributions_geo(vy, fh, sh, dh, y0, t_rows, oh).peekable();
+                    if contribs.peek().is_none() {
                         continue; // row skipped entirely by the stride
                     }
                     // Real input row; rows in the padding band contribute
@@ -145,7 +145,6 @@ pub fn nchw_geo_launch_parts_fused(
                     }
                     let row_base = plane_base + iy as usize * iw;
                     // --- materialize the FW slots --------------------------
-                    let mut slots: Vec<VF> = vec![VF::splat(0.0); fw];
                     let full = LaneMask::from_fn(|_| true);
                     let gather = |w: &mut WarpCtx<'_, '_>, k: usize, m: LaneMask| {
                         let mask =
@@ -177,8 +176,9 @@ pub fn nchw_geo_launch_parts_fused(
                     // --- accumulate ---------------------------------------
                     for (o, fr) in contribs {
                         let t = o - y0;
-                        for (s, &slot) in slots.iter().enumerate() {
-                            acc[t] = w.fma(slot, fvals[fr * fw + s], acc[t]);
+                        let frow = &fvals[fr * fw..(fr + 1) * fw];
+                        for (&slot, &fv) in slots.iter().zip(frow) {
+                            acc[t] = w.fma(slot, fv, acc[t]);
                         }
                     }
                 }

@@ -30,30 +30,25 @@
 /// row-major order (filter rows arrive in increasing order as the input
 /// streams down).
 pub fn contributions(index: usize, fh: usize, oh: usize) -> Vec<(usize, usize)> {
-    contributions_tiled(index, fh, 0, oh, oh)
+    contributions_tiled(index, fh, 0, oh, oh).collect()
 }
 
 /// Tile-restricted version: only outputs in
-/// `[tile_start, min(tile_start + tile_len, oh))` are produced.
+/// `[tile_start, min(tile_start + tile_len, oh))` are produced, as an
+/// iterator so the kernels walk them without building a list per row.
 pub fn contributions_tiled(
     index: usize,
     fh: usize,
     tile_start: usize,
     tile_len: usize,
     oh: usize,
-) -> Vec<(usize, usize)> {
+) -> impl Iterator<Item = (usize, usize)> {
     assert!(fh >= 1);
     let tile_end = (tile_start + tile_len).min(oh);
     // output o uses input rows o ..= o+fh-1, i.e. o ∈ [index-fh+1, index]
     let lo = index.saturating_sub(fh - 1).max(tile_start);
-    let hi = index.min(tile_end.saturating_sub(1));
-    let mut out = Vec::with_capacity(fh);
-    let mut o = lo;
-    while o <= hi && tile_end > 0 {
-        out.push((o, index - o));
-        o += 1;
-    }
-    out
+    let end = (index + 1).min(tile_end);
+    (lo..end).map(move |o| (o, index - o))
 }
 
 /// Literal transcription of the paper's Algorithm 2 branch structure (with
@@ -174,7 +169,7 @@ mod tests {
         // Rows with nonempty contributions for tile [8, 16) with fh=3:
         // inputs 8 ..= 17.
         let rows: Vec<usize> = (0..30)
-            .filter(|&i| !contributions_tiled(i, 3, 8, 8, 28).is_empty())
+            .filter(|&i| contributions_tiled(i, 3, 8, 8, 28).next().is_some())
             .collect();
         assert_eq!(rows, (8..=17).collect::<Vec<_>>());
     }

@@ -353,10 +353,10 @@ struct LaunchEnv {
 struct Resources<'a> {
     dev: &'a DeviceConfig,
     glob: GlobalView<'a>,
-    l1: SectoredCache,
+    l1: &'a mut SectoredCache,
     l2: L2Sink<'a>,
     stats: &'a mut KernelStats,
-    shared: SharedMem,
+    shared: &'a mut SharedMem,
     /// Hazard-analysis event recorder; `None` outside analyzed launches, in
     /// which case every instrumented path is byte-for-byte the plain path.
     analysis: Option<&'a mut BlockCollector>,
@@ -646,7 +646,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -712,7 +712,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -1001,7 +1001,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
         }
         let txns = warp_access(
             self.res.dev,
-            &mut self.res.l1,
+            self.res.l1,
             &mut self.res.l2,
             self.res.stats,
             &addrs,
@@ -1025,6 +1025,9 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
 struct BlockScratch {
     trace: BlockTrace,
     store: StoreBuffer,
+    /// The block's L1 tags and shared arena, built by the first block that
+    /// runs on this scratch and reset in place for every later one.
+    local: Option<BlockLocal>,
 }
 
 impl BlockScratch {
@@ -1034,7 +1037,58 @@ impl BlockScratch {
         BlockScratch {
             trace: BlockTrace::new(),
             store: StoreBuffer::with_footprint_hint(hint_words),
+            local: None,
         }
+    }
+}
+
+/// A block's private simulator state: its L1 tag store and its shared
+/// arena. Engines keep one and reset it in place between blocks; the reset
+/// state is exactly that of a freshly built one, so no counter changes.
+#[derive(Debug)]
+struct BlockLocal {
+    /// The device parameters the parts were built for (L1 bytes, ways,
+    /// line and sector bytes, shared banks).
+    geometry: [usize; 5],
+    l1: SectoredCache,
+    shared: SharedMem,
+}
+
+impl BlockLocal {
+    fn geometry(dev: &DeviceConfig) -> [usize; 5] {
+        [
+            dev.l1_bytes,
+            dev.l1_ways,
+            dev.line_bytes,
+            dev.sector_bytes,
+            dev.smem_banks,
+        ]
+    }
+
+    fn new(dev: &DeviceConfig, shared_words: usize) -> Self {
+        BlockLocal {
+            geometry: Self::geometry(dev),
+            l1: new_l1(dev),
+            shared: SharedMem::new(shared_words, dev.smem_banks),
+        }
+    }
+
+    /// Ready `slot` for a block on `dev` with `shared_words` of shared
+    /// memory: equal to `BlockLocal::new(dev, shared_words)`, reusing the
+    /// storage already there when the device geometry matches.
+    fn ready<'s>(
+        slot: &'s mut Option<BlockLocal>,
+        dev: &DeviceConfig,
+        shared_words: usize,
+    ) -> &'s mut BlockLocal {
+        match slot {
+            Some(local) if local.geometry == Self::geometry(dev) => {
+                local.l1.reset();
+                local.shared.reset(shared_words);
+            }
+            _ => *slot = Some(BlockLocal::new(dev, shared_words)),
+        }
+        slot.as_mut().expect("filled above")
     }
 }
 
@@ -1043,6 +1097,8 @@ struct BlockOutcome {
     stats: KernelStats,
     trace: BlockTrace,
     store: StoreBuffer,
+    /// The scratch's L1 and shared arena, handed back to the pool.
+    local: Option<BlockLocal>,
     /// Hazard events, present only under an analyzed launch; merged into
     /// the launch collector in block-linear order during phase 2, so
     /// reports are identical across [`LaunchMode`]s.
@@ -1068,7 +1124,11 @@ fn run_block_traced(
     env: LaunchEnv,
     scratch: BlockScratch,
 ) -> BlockOutcome {
-    let BlockScratch { mut trace, store } = scratch;
+    let BlockScratch {
+        mut trace,
+        store,
+        mut local,
+    } = scratch;
     debug_assert!(
         trace.is_empty() && store.is_empty(),
         "scratch arrives drained"
@@ -1082,14 +1142,15 @@ fn run_block_traced(
         .phantom
         .filter(|p| p.symbolic)
         .map(|_| SymBlockCollector::for_block());
+    let BlockLocal { l1, shared, .. } = BlockLocal::ready(&mut local, dev, cfg.shared_words);
     let mut blk = BlockCtx {
         res: Resources {
             dev,
             glob: GlobalView::Overlay { base: mem, store },
-            l1: new_l1(dev),
+            l1,
             l2: L2Sink::Deferred(&mut trace),
             stats: &mut stats,
-            shared: SharedMem::new(cfg.shared_words, dev.smem_banks),
+            shared,
             analysis: collector.as_mut(),
             faults: faults.as_mut(),
             phantom: env.phantom,
@@ -1109,6 +1170,7 @@ fn run_block_traced(
         stats,
         trace,
         store,
+        local,
         collector,
         faults,
         sym,
@@ -1555,6 +1617,7 @@ impl GpuSim {
     ) -> (KernelStats, u64) {
         let mut stats = KernelStats::default();
         let mut l2 = new_l2(&self.device);
+        let mut local = None;
         let mut simulated = 0u64;
         for linear in resolved.blocks(cfg.num_blocks()) {
             simulated += 1;
@@ -1567,14 +1630,16 @@ impl GpuSim {
                 .phantom
                 .filter(|p| p.symbolic)
                 .map(|_| SymBlockCollector::for_block());
+            let BlockLocal { l1, shared, .. } =
+                BlockLocal::ready(&mut local, &self.device, cfg.shared_words);
             let mut blk = BlockCtx {
                 res: Resources {
                     dev: &self.device,
                     glob: GlobalView::Direct(&mut self.mem),
-                    l1: new_l1(&self.device),
+                    l1,
                     l2: L2Sink::Inline(&mut l2),
                     stats: &mut stats,
-                    shared: SharedMem::new(cfg.shared_words, self.device.smem_banks),
+                    shared,
                     analysis: collector.as_mut(),
                     faults: faults.as_mut(),
                     phantom: env.phantom,
@@ -1693,6 +1758,7 @@ impl GpuSim {
                 pool.push(BlockScratch {
                     trace: outcome.trace,
                     store: outcome.store,
+                    local: outcome.local,
                 });
                 if let Some(c) = outcome.collector {
                     self.analysis

@@ -87,7 +87,9 @@ impl SectoredCache {
         );
         let nsets = lines / ways;
         SectoredCache {
-            sets: vec![Vec::with_capacity(ways); nsets],
+            // Sets stay unallocated until their first line arrives (see
+            // `access`), so untouched sets cost no memory.
+            sets: (0..nsets).map(|_| Vec::new()).collect(),
             ways,
             line_bytes: line_bytes as u64,
             sector_bytes: sector_bytes as u64,
@@ -151,6 +153,10 @@ impl SectoredCache {
                 .expect("non-empty set");
             let victim = set.swap_remove(lru);
             self.evicted_dirty_sectors += victim.dirty.count_ones() as u64;
+        } else if set.is_empty() {
+            // A set's first line reserves all of its ways at once; a no-op
+            // on a set that already holds that capacity.
+            set.reserve_exact(ways);
         }
         set.push(Line {
             tag: line_addr,
@@ -206,6 +212,17 @@ impl SectoredCache {
                 self.evicted_dirty_sectors += line.dirty.count_ones() as u64;
             }
         }
+    }
+
+    /// Return to the state of a freshly built cache of the same geometry:
+    /// every set empty, the tick and the dirty-eviction count at 0. Sets
+    /// keep their storage, so a reused cache refills without allocating.
+    pub fn reset(&mut self) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+        self.tick = 0;
+        self.evicted_dirty_sectors = 0;
     }
 
     /// Number of currently valid sectors (test introspection).

@@ -29,6 +29,13 @@ impl SharedMem {
         }
     }
 
+    /// Return to the state of `SharedMem::new(words, banks)` with this
+    /// arena's bank count: `words` zeroed words, reusing the storage.
+    pub fn reset(&mut self, words: usize) {
+        self.data.clear();
+        self.data.resize(words, 0.0);
+    }
+
     /// Capacity in words.
     pub fn words(&self) -> usize {
         self.data.len()

@@ -8,6 +8,9 @@
 //!
 //! Counting of shuffle instructions for the performance model happens in
 //! [`crate::exec::WarpCtx`]; the functions here are the pure data movement.
+//!
+//! Every width is a power of two (checked), so segment arithmetic is done
+//! with masks: lane `i`'s segment starts at `i & !(width - 1)`.
 
 use crate::lane::{LaneVec, VU, WARP};
 
@@ -29,8 +32,9 @@ pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T
     LaneVec::from_fn(|i| {
         let src = i ^ mask;
         // Sources outside the segment return the lane's own value, matching
-        // the hardware's behaviour for out-of-segment reads.
-        if src / width == i / width {
+        // the hardware's behaviour for out-of-segment reads. Same segment
+        // means the same bits above the power-of-two width.
+        if (src ^ i) & !(width - 1) == 0 {
             v.lane(src)
         } else {
             v.lane(i)
@@ -43,7 +47,7 @@ pub fn shfl_xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T
 pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     LaneVec::from_fn(|i| {
-        let seg = i / width * width;
+        let seg = i & !(width - 1);
         if i >= delta && i - delta >= seg {
             v.lane(i - delta)
         } else {
@@ -57,7 +61,7 @@ pub fn shfl_up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T
 pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
     check_width(width);
     LaneVec::from_fn(|i| {
-        let seg_end = (i / width + 1) * width;
+        let seg_end = (i & !(width - 1)) + width;
         if i + delta < seg_end {
             v.lane(i + delta)
         } else {
@@ -71,8 +75,8 @@ pub fn shfl_down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec
 pub fn shfl_idx<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
     check_width(width);
     LaneVec::from_fn(|i| {
-        let seg = i / width * width;
-        let src = seg + (idx.lane(i) as usize % width);
+        let seg = i & !(width - 1);
+        let src = seg + (idx.lane(i) as usize & (width - 1));
         v.lane(src)
     })
 }
@@ -182,6 +186,110 @@ mod tests {
     fn bad_width_rejected() {
         let v = VF::splat(0.0);
         shfl_xor(&v, 1, 3);
+    }
+
+    /// The division-based segment arithmetic the mask forms replaced.
+    mod div_oracle {
+        use crate::lane::{LaneVec, VU};
+
+        pub fn xor<T: Copy>(v: &LaneVec<T>, mask: usize, width: usize) -> LaneVec<T> {
+            LaneVec::from_fn(|i| {
+                let src = i ^ mask;
+                if src / width == i / width {
+                    v.lane(src)
+                } else {
+                    v.lane(i)
+                }
+            })
+        }
+
+        pub fn up<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
+            LaneVec::from_fn(|i| {
+                let seg = i / width * width;
+                if i >= delta && i - delta >= seg {
+                    v.lane(i - delta)
+                } else {
+                    v.lane(i)
+                }
+            })
+        }
+
+        pub fn down<T: Copy>(v: &LaneVec<T>, delta: usize, width: usize) -> LaneVec<T> {
+            LaneVec::from_fn(|i| {
+                let seg_end = (i / width + 1) * width;
+                if i + delta < seg_end {
+                    v.lane(i + delta)
+                } else {
+                    v.lane(i)
+                }
+            })
+        }
+
+        pub fn idx<T: Copy>(v: &LaneVec<T>, idx: &VU, width: usize) -> LaneVec<T> {
+            LaneVec::from_fn(|i| {
+                let seg = i / width * width;
+                v.lane(seg + (idx.lane(i) as usize % width))
+            })
+        }
+    }
+
+    const WIDTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+    #[test]
+    fn mask_forms_match_division_oracle_exhaustively() {
+        let v = VU::from_fn(|l| l as u32 * 7 + 100);
+        for width in WIDTHS {
+            for k in 0..WARP {
+                assert_eq!(
+                    shfl_xor(&v, k, width),
+                    div_oracle::xor(&v, k, width),
+                    "xor mask {k} width {width}"
+                );
+                assert_eq!(
+                    shfl_up(&v, k, width),
+                    div_oracle::up(&v, k, width),
+                    "up delta {k} width {width}"
+                );
+                assert_eq!(
+                    shfl_down(&v, k, width),
+                    div_oracle::down(&v, k, width),
+                    "down delta {k} width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idx_matches_division_oracle_on_random_indices() {
+        let v = VU::from_fn(|l| l as u32 * 13 + 1);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for width in WIDTHS {
+            for round in 0..200 {
+                // Alternate small indices (mostly < width) with full-range
+                // ones, which are all far beyond any segment.
+                let idx = VU::from_fn(|_| {
+                    let r = next();
+                    if round % 2 == 0 {
+                        (r % 64) as u32
+                    } else {
+                        r as u32
+                    }
+                });
+                assert_eq!(
+                    shfl_idx(&v, &idx, width),
+                    div_oracle::idx(&v, &idx, width),
+                    "idx width {width} round {round}"
+                );
+            }
+        }
     }
 
     #[test]

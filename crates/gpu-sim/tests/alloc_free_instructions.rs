@@ -5,10 +5,13 @@
 //! arena) and a cache set's first line may allocate; the instructions
 //! themselves may not. The same holds for a phantom launch that records
 //! symbolic state: the per-block collector and a site's first record may
-//! allocate; fitting, predicting and hashing a request may not.
+//! allocate; fitting, predicting and hashing a request may not. Per-block
+//! state (the L1 tags, the shared arena) is reset, not rebuilt, so a
+//! launch's allocations do not grow with its block count either.
 
 use memconv_gpusim::lane::{LaneMask, VF, VU};
-use memconv_gpusim::{DeviceConfig, GpuSim, LaunchConfig, PhantomConfig};
+use memconv_gpusim::memory::{CachePolicy, SectoredCache};
+use memconv_gpusim::{DeviceConfig, GpuSim, LaunchConfig, LaunchMode, PhantomConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -148,5 +151,65 @@ fn symbolic_recording_allocations_do_not_grow_with_request_count() {
         few, many,
         "a phantom launch recording 32x the warp requests made {many} heap \
          allocations instead of {few}: the symbolic path allocates per request"
+    );
+}
+
+/// Heap allocations made by a sequential launch of `blocks` blocks that all
+/// touch the same global lines and shared words.
+fn blocks_allocs(blocks: u32) -> u64 {
+    let mut sim = GpuSim::new(DeviceConfig::rtx2080ti()).with_launch_mode(LaunchMode::Sequential);
+    let x = sim.mem.upload(&vec![1.5; WORDS]);
+    let y = sim.mem.alloc(WORDS);
+    let cfg = LaunchConfig::linear(blocks, THREADS).with_shared(WORDS);
+    let before = allocs();
+    let stats = sim.launch(&cfg, |blk| {
+        blk.each_warp(|w| {
+            let tid = w.thread_idx();
+            let v = w.gld(x, &tid, LaneMask::ALL);
+            w.sst(&tid, &v, LaneMask::ALL);
+            let s = w.sld(&(tid ^ 1), LaneMask::ALL);
+            w.gst(y, &tid, &s, LaneMask::ALL);
+        });
+    });
+    let made = allocs() - before;
+    assert_eq!(stats.sim_blocks, u64::from(blocks), "every block simulated");
+    made
+}
+
+#[test]
+fn launch_allocations_do_not_grow_with_block_count() {
+    blocks_allocs(1);
+    let one = blocks_allocs(1);
+    let many = blocks_allocs(16);
+    assert_eq!(
+        one, many,
+        "a 16-block launch made {many} heap allocations instead of the \
+         one-block launch's {one}: per-block state is rebuilt, not reset"
+    );
+}
+
+#[test]
+fn filling_one_cache_set_allocates_once() {
+    let dev = DeviceConfig::rtx2080ti();
+    let mut l2 = SectoredCache::new(
+        dev.l2_bytes,
+        dev.l2_ways,
+        dev.line_bytes,
+        dev.sector_bytes,
+        CachePolicy::l2(),
+    );
+    // Lines one set-stride apart all land in set 0.
+    let sets = dev.l2_bytes / dev.line_bytes / dev.l2_ways;
+    let stride = (sets * dev.line_bytes) as u64;
+    let before = allocs();
+    for way in 0..dev.l2_ways as u64 {
+        l2.access(way * stride, false);
+    }
+    let made = allocs() - before;
+    assert_eq!(l2.resident_sectors(), dev.l2_ways as u64, "the set is full");
+    assert_eq!(
+        made, 1,
+        "filling a {}-way set made {made} allocations instead of one",
+        dev.l2_ways
     );
 }

@@ -18,27 +18,64 @@ pub fn conv_nchw_ref(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
     let fn_ = weights.num_filters();
 
     let plane = oh * ow;
+    let (in_plane, w_plane) = (ih * iw, fh * fw);
     let mut data = vec![0.0f32; n * fn_ * plane];
     memconv_par::for_each_chunk_mut(&mut data, plane, |nf, out| {
         let in_n = nf / fn_;
         let f = nf % fn_;
-        for oy in 0..oh {
-            for ox in 0..ow {
+        // Image `in_n` and filter `f`, both `c` planes deep.
+        let image = &input.as_slice()[in_n * c * in_plane..][..c * in_plane];
+        let filter = &weights.as_slice()[f * c * w_plane..][..c * w_plane];
+        for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+            for (ox, o) in out_row.iter_mut().enumerate() {
                 let mut acc = 0.0f32;
-                for ch in 0..c {
-                    for r in 0..fh {
-                        for s in 0..fw {
-                            acc = input
-                                .get(in_n, ch, oy + r, ox + s)
-                                .mul_add(weights.get(f, ch, r, s), acc);
+                for (in_ch, w_ch) in image
+                    .chunks_exact(in_plane)
+                    .zip(filter.chunks_exact(w_plane))
+                {
+                    for (r, w_row) in w_ch.chunks_exact(fw).enumerate() {
+                        let in_row = &in_ch[(oy + r) * iw + ox..][..fw];
+                        for (&x, &w) in in_row.iter().zip(w_row) {
+                            acc = x.mul_add(w, acc);
                         }
                     }
                 }
-                out[oy * ow + ox] = acc;
+                *o = acc;
             }
         }
     });
     Tensor4::from_vec(n, fn_, oh, ow, data).expect("shape by construction")
+}
+
+/// The element-accessor form of [`conv_nchw_ref`], kept as its oracle:
+/// the same sums in the same order, through bounds-checked `get`s.
+#[cfg(test)]
+fn conv_nchw_ref_by_get(input: &Tensor4, weights: &FilterBank) -> Tensor4 {
+    let (n, c, ih, iw) = input.dims();
+    let (fh, fw) = (weights.fh(), weights.fw());
+    let (oh, ow) = (ih - fh + 1, iw - fw + 1);
+    let fn_ = weights.num_filters();
+    let mut out = Tensor4::zeros(n, fn_, oh, ow);
+    for in_n in 0..n {
+        for f in 0..fn_ {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ch in 0..c {
+                        for r in 0..fh {
+                            for s in 0..fw {
+                                acc = input
+                                    .get(in_n, ch, oy + r, ox + s)
+                                    .mul_add(weights.get(f, ch, r, s), acc);
+                            }
+                        }
+                    }
+                    out.set(in_n, f, oy, ox, acc);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Geometry-general direct NCHW convolution: groups, stride, dilation and
@@ -120,6 +157,8 @@ mod tests {
     use super::*;
     use crate::conv2d::conv2d_ref;
     use memconv_tensor::generate::TensorRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn single_channel_single_filter_matches_2d() {
@@ -150,6 +189,43 @@ mod tests {
             }
         }
         assert!((out.get(0, 1, 2, 3) - want).abs() < 1e-4);
+    }
+
+    #[test]
+    fn row_slices_match_get_oracle_bit_for_bit() {
+        // (batch, channels, ih, iw, filters, fh, fw): batch > 1, 1×1,
+        // 11×11 and non-square inputs and filters, then seeded random
+        // shapes.
+        let mut shapes = vec![
+            (3, 2, 9, 9, 4, 3, 3),
+            (2, 3, 7, 5, 2, 1, 1),
+            (1, 2, 13, 12, 3, 11, 11),
+            (2, 2, 10, 17, 3, 3, 5),
+            (1, 1, 6, 20, 1, 5, 2),
+        ];
+        let mut pick = StdRng::seed_from_u64(99);
+        for _ in 0..12 {
+            let (fh, fw) = (pick.gen_range(1..8), pick.gen_range(1..8));
+            shapes.push((
+                pick.gen_range(1..4),
+                pick.gen_range(1..4),
+                fh + pick.gen_range(0..9),
+                fw + pick.gen_range(0..9),
+                pick.gen_range(1..4),
+                fh,
+                fw,
+            ));
+        }
+        for (i, &(n, c, ih, iw, fn_, fh, fw)) in shapes.iter().enumerate() {
+            let mut rng = TensorRng::new(500 + i as u64);
+            let t = rng.tensor(n, c, ih, iw);
+            let bank = rng.filter_bank(fn_, c, fh, fw);
+            let got = conv_nchw_ref(&t, &bank);
+            let want = conv_nchw_ref_by_get(&t, &bank);
+            assert_eq!(got.dims(), want.dims());
+            let bits = |x: &Tensor4| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "shape {:?}", shapes[i]);
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@
 use crate::cache::{cache_key, PlanCache};
 use crate::metrics::{LaunchRecord, PlanSweepRecord, RequestMetrics, ServeReport};
 use crate::planner::{
-    instantiate_nchw, plan_nchw, plan_nchw_heuristic, Plan, PlanConfig, PlanError, Provenance,
+    instantiate_nchw, plan_nchw, plan_nchw_heuristic, Plan, PlanConfig, PlanError, PlanOutcome,
+    Provenance,
 };
 use memconv::checked::{conv2d_checked, CheckedConfig, CheckedError};
 use memconv::core::OursConfig;
@@ -236,6 +237,37 @@ struct PendingRefinement {
     endpoint: String,
 }
 
+/// Runs the refinement trial sweeps: one result per geometry, in order.
+type RefinementSweeps =
+    fn(&DeviceConfig, &[ConvGeometry], SampleMode, usize) -> Vec<Result<PlanOutcome, PlanError>>;
+
+/// The background refinement's trial sweeps, on `workers` threads: one
+/// result per entry of `geometries`. [`plan_nchw`] is deterministic in
+/// (device, geometry, sample), so each distinct geometry is swept once and
+/// its outcome is shared by every entry that names it — a geometry evicted
+/// and missed again within one trace is not swept twice.
+fn refinement_sweeps(
+    device: &DeviceConfig,
+    geometries: &[ConvGeometry],
+    sample: SampleMode,
+    workers: usize,
+) -> Vec<Result<PlanOutcome, PlanError>> {
+    let mut distinct: Vec<ConvGeometry> = Vec::new();
+    let sweep_of: Vec<usize> = geometries
+        .iter()
+        .map(|g| {
+            distinct.iter().position(|d| d == g).unwrap_or_else(|| {
+                distinct.push(*g);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let swept = memconv_par::map_indexed_with(distinct.len(), workers, |i| {
+        plan_nchw(device, &distinct[i], sample)
+    });
+    sweep_of.into_iter().map(|i| swept[i].clone()).collect()
+}
+
 /// What executing one group produced.
 struct GroupOut {
     /// Per-member outputs, in member order.
@@ -311,6 +343,16 @@ impl ConvServer {
     pub fn run_trace(
         &mut self,
         requests: &[Request],
+    ) -> Result<(Vec<Response>, ServeReport), ServeError> {
+        self.run_trace_with(requests, refinement_sweeps)
+    }
+
+    /// [`ConvServer::run_trace`] with the background refinement's sweeps
+    /// run by `sweeps` (one result per pending geometry, in order).
+    fn run_trace_with(
+        &mut self,
+        requests: &[Request],
+        sweeps: RefinementSweeps,
     ) -> Result<(Vec<Response>, ServeReport), ServeError> {
         if self.closed {
             return Err(ServeError::Closed);
@@ -450,12 +492,13 @@ impl ConvServer {
         // post-trace by design (see the module docs) and charged to no
         // request — its cost appears only in the sweep records.
         if self.cfg.refine && !pending.is_empty() {
-            let device = &self.device;
-            let sample = self.cfg.trial_sample;
             let geometries: Vec<ConvGeometry> = pending.iter().map(|p| p.geometry).collect();
-            let outcomes = memconv_par::map_indexed_with(geometries.len(), self.cfg.workers, |i| {
-                plan_nchw(device, &geometries[i], sample)
-            });
+            let outcomes = sweeps(
+                &self.device,
+                &geometries,
+                self.cfg.trial_sample,
+                self.cfg.workers,
+            );
             for (p, outcome) in pending.into_iter().zip(outcomes) {
                 let outcome = outcome.map_err(|source| ServeError::Plan {
                     id: p.request_id,
@@ -801,6 +844,47 @@ mod tests {
                 Provenance::Heuristic
             );
         }
+    }
+
+    /// The refinement sweeps before deduplication: one sweep per pending
+    /// entry, repeats included.
+    fn sweeps_per_entry(
+        device: &DeviceConfig,
+        geometries: &[ConvGeometry],
+        sample: SampleMode,
+        workers: usize,
+    ) -> Vec<Result<PlanOutcome, PlanError>> {
+        memconv_par::map_indexed_with(geometries.len(), workers, |i| {
+            plan_nchw(device, &geometries[i], sample)
+        })
+    }
+
+    #[test]
+    fn each_geometry_is_swept_once_with_per_entry_results() {
+        // A one-entry cache over alternating endpoints: every request
+        // misses, so each geometry is pending twice (and more).
+        let eps = tiny_endpoints();
+        let reqs = trace(&eps, 6, 31);
+        let run = |sweeps: RefinementSweeps| {
+            let mut sv = server(1);
+            sv.cache = PlanCache::new(1);
+            let (outs, rep) = sv.run_trace_with(&reqs, sweeps).unwrap();
+            (outs, rep, sv.cache().to_json())
+        };
+        let (outs, rep, cache) = run(refinement_sweeps);
+        let (want_outs, want_rep, want_cache) = run(sweeps_per_entry);
+        assert_eq!(format!("{rep:?}"), format!("{want_rep:?}"), "report");
+        assert_eq!(cache, want_cache, "saved cache");
+        for (a, b) in outs.iter().zip(&want_outs) {
+            assert_eq!(a.output.as_slice(), b.output.as_slice());
+        }
+        let trialed = rep
+            .plan_sweeps
+            .iter()
+            .filter(|s| s.provenance == Provenance::Trialed)
+            .count();
+        assert_eq!(rep.cache_misses, 6, "every request missed");
+        assert_eq!(trialed, 6, "one sweep record per pending entry");
     }
 
     #[test]

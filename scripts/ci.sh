@@ -47,6 +47,27 @@ echo "==> benchmark smoke (perfbench serve-churn, traced and untraced)"
 # end-to-end check against the CPU reference.
 perfbench_smoke serve-churn
 
+echo "==> benchmark smoke (perfbench serve-zoo, traced and untraced)"
+# Warm fleet and whole-model serving with golden checks. A non-zero exit
+# means the traced run's modeled metrics differ from the untraced run's.
+# Its wrong-shape failures are the fleet serving strided and dilated
+# endpoints through the unit-axes path (ROADMAP item 1); they stay visible
+# in the summary printed here until that fix lands. Every other failure
+# class must be zero.
+zoo=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-zoo --seed 1 --seconds 1 --trace 1)
+zoo_summary=$(printf '%s\n' "$zoo" | grep '^attempted ' | tail -n 1 || true)
+echo "serve-zoo: ${zoo_summary}"
+for want in 'wrong values 0,' 'errors 0,' 'shed 0)'; do
+  case "$zoo_summary" in
+    *"$want"*) ;;
+    *)
+      echo "serve-zoo smoke: summary does not report '${want%[,)]}'" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> hazard-analysis gate (ablation --analyze --gate)"
 cargo run --release -q -p memconv-bench --bin ablation -- --analyze --gate
 
